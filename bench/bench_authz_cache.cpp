@@ -11,14 +11,11 @@
 //                  fresh backend query.
 #include <benchmark/benchmark.h>
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "authz/caching.hpp"
 #include "authz/keynote_authorizer.hpp"
 #include "keynote/compiled_store.hpp"
-#include "util/task_pool.hpp"
 
 namespace {
 
@@ -80,10 +77,9 @@ void BM_AuthzCache_Miss(benchmark::State& state) {
 BENCHMARK(BM_AuthzCache_Miss);
 
 void BM_AuthzCache_HitConcurrent(benchmark::State& state) {
-  // The shared-nothing hit path under contention: N benchmark threads
-  // hammer the sharded map. Each thread uses its own principal so the
-  // requests land in distinct shards — the steady state of the worker-pool
-  // scheduler, where a worker owns its principals' shards outright.
+  // The sharded hit path under contention: N benchmark threads hammer the
+  // map, each with its own principal, so requests spread across shards
+  // instead of queueing on one lock.
   struct Fixture {
     keynote::CompiledStore store;
     authz::KeyNoteAuthorizer backend{store};
@@ -107,43 +103,6 @@ void BM_AuthzCache_HitConcurrent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AuthzCache_HitConcurrent)->Threads(1)->Threads(2)->Threads(4)->Threads(8);
-
-void BM_AuthzCache_PooledBatch(benchmark::State& state) {
-  // decide_batch fanned out across a TaskPool vs looped serially
-  // (workers = 0). 256 requests over 32 principals, all warm: measures
-  // the partition/submit/gather overhead against the per-shard hit work
-  // it parallelises.
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  keynote::CompiledStore store;
-  std::vector<authz::Request> requests;
-  for (int i = 0; i < 256; ++i) {
-    auto r = request_for(i % 32);
-    r.principal = "kp" + std::to_string(i % 32);
-    requests.push_back(std::move(r));
-  }
-  for (int i = 0; i < 32; ++i) {
-    store
-        .add_policy_text("Authorizer: POLICY\nLicensees: \"kp" +
-                         std::to_string(i) +
-                         "\"\nConditions: app_domain == \"WebCom\";\n")
-        .ok();
-  }
-  authz::KeyNoteAuthorizer backend(store);
-  std::optional<util::TaskPool> pool;
-  if (workers > 0) pool.emplace(workers);
-  authz::CachingAuthorizer cache(
-      backend, {.shards = 32,
-                .pool = pool.has_value() ? &*pool : nullptr,
-                .min_batch_fanout = 1});
-  benchmark::DoNotOptimize(cache.decide_batch(requests));  // warm
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.decide_batch(requests));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(requests.size()));
-  state.counters["workers"] = static_cast<double>(workers);
-}
-BENCHMARK(BM_AuthzCache_PooledBatch)->Arg(0)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_AuthzCache_InvalidationOnVersionBump(benchmark::State& state) {
   keynote::CompiledStore store;

@@ -10,7 +10,7 @@
 #include <atomic>
 #include <thread>
 
-#include "keynote/store.hpp"
+#include "keynote/compiled_store.hpp"
 #include "net/network.hpp"
 #include "translate/directory.hpp"
 #include "translate/rbac_to_keynote.hpp"
@@ -27,8 +27,8 @@ crypto::KeyRing& ring() {
 }
 
 /// A store holding the compiled Figure 1 policy + membership credentials.
-std::shared_ptr<keynote::CredentialStore> make_store() {
-  auto store = std::make_shared<keynote::CredentialStore>();
+std::shared_ptr<keynote::CompiledStore> make_store() {
+  auto store = std::make_shared<keynote::CompiledStore>();
   translate::KeyRingDirectory dir(ring());
   auto compiled = translate::compile_policy_signed(
                       rbac::salaries_policy(), ring().identity("KWebCom"),

@@ -4,6 +4,9 @@
 // decision path.
 #include <benchmark/benchmark.h>
 
+#include "authz/keynote_authorizer.hpp"
+#include "authz/middleware_authorizer.hpp"
+#include "authz/stack.hpp"
 #include "middleware/corba/orb.hpp"
 #include "rbac/fixtures.hpp"
 #include "stack/layers.hpp"
@@ -22,7 +25,7 @@ crypto::KeyRing& ring() {
 struct Rig {
   stack::OsSecurity os;
   middleware::corba::Orb orb{"unixhost", "orb1"};
-  keynote::CredentialStore store;
+  keynote::CompiledStore store;
   translate::KeyRingDirectory directory{ring()};
 
   Rig() {
@@ -47,8 +50,8 @@ struct Rig {
     }
   }
 
-  stack::Request bob_read() {
-    stack::Request r;
+  authz::Request bob_read() {
+    authz::Request r;
     r.user = "Bob";
     r.principal = directory.principal_of("Bob");
     r.object_type = "SalariesDB";
@@ -61,10 +64,14 @@ struct Rig {
 
 void run_subset(benchmark::State& state, bool l0, bool l1, bool l2) {
   Rig rig;
-  stack::StackedAuthorizer authorizer;
+  authz::Stack authorizer;
   if (l0) authorizer.push(std::make_shared<stack::OsLayer>(rig.os));
-  if (l1) authorizer.push(std::make_shared<stack::MiddlewareLayer>(rig.orb));
-  if (l2) authorizer.push(std::make_shared<stack::TrustLayer>(rig.store));
+  if (l1) {
+    authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(rig.orb));
+  }
+  if (l2) {
+    authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(rig.store));
+  }
   auto request = rig.bob_read();
   for (auto _ : state) {
     benchmark::DoNotOptimize(authorizer.decide(request));
@@ -99,19 +106,19 @@ BENCHMARK(BM_Fig10_FullStack);
 
 void BM_Fig10_CompositionStrategies(benchmark::State& state) {
   Rig rig;
-  auto composition = static_cast<stack::Composition>(state.range(0));
-  stack::StackedAuthorizer authorizer(composition);
+  auto composition = static_cast<authz::Composition>(state.range(0));
+  authz::Stack authorizer(composition);
   authorizer.push(std::make_shared<stack::OsLayer>(rig.os));
-  authorizer.push(std::make_shared<stack::MiddlewareLayer>(rig.orb));
-  authorizer.push(std::make_shared<stack::TrustLayer>(rig.store));
+  authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(rig.orb));
+  authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(rig.store));
   auto request = rig.bob_read();
   for (auto _ : state) {
     benchmark::DoNotOptimize(authorizer.decide(request));
   }
   switch (composition) {
-    case stack::Composition::kAllMustPermit: state.SetLabel("all-must-permit"); break;
-    case stack::Composition::kFirstDecisive: state.SetLabel("first-decisive"); break;
-    case stack::Composition::kAnyPermits: state.SetLabel("any-permits"); break;
+    case authz::Composition::kAllMustPermit: state.SetLabel("all-must-permit"); break;
+    case authz::Composition::kFirstDecisive: state.SetLabel("first-decisive"); break;
+    case authz::Composition::kAnyPermits: state.SetLabel("any-permits"); break;
   }
 }
 BENCHMARK(BM_Fig10_CompositionStrategies)->Arg(0)->Arg(1)->Arg(2);
@@ -120,11 +127,11 @@ void BM_Fig10_DenialPath(benchmark::State& state) {
   // Unauthorised requester through the full stack: the common-case attack
   // traffic a deployment actually measures.
   Rig rig;
-  stack::StackedAuthorizer authorizer;
+  authz::Stack authorizer;
   authorizer.push(std::make_shared<stack::OsLayer>(rig.os));
-  authorizer.push(std::make_shared<stack::MiddlewareLayer>(rig.orb));
-  authorizer.push(std::make_shared<stack::TrustLayer>(rig.store));
-  stack::Request request = rig.bob_read();
+  authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(rig.orb));
+  authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(rig.store));
+  authz::Request request = rig.bob_read();
   request.user = "Mallory";
   request.principal = rig.directory.principal_of("Mallory");
   for (auto _ : state) {

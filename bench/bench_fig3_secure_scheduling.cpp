@@ -32,12 +32,11 @@ struct Rig {
   std::unique_ptr<webcom::Master> master;
   std::vector<std::unique_ptr<webcom::Client>> clients;
 
-  Rig(std::size_t n_clients, bool security, std::size_t workers = 0) {
+  Rig(std::size_t n_clients, bool security) {
     const auto& master_id = ring().identity("KMaster");
     webcom::MasterOptions mopts;
     mopts.security_enabled = security;
     mopts.task_timeout = 2000ms;
-    mopts.workers = workers;
     master = std::make_unique<webcom::Master>(network, "master", master_id,
                                               mopts);
     for (std::size_t i = 0; i < n_clients; ++i) {
@@ -129,43 +128,16 @@ BENCHMARK(BM_Fig3_SchedulingSecure)
     ->Args({128, 4})
     ->Unit(benchmark::kMillisecond);
 
-void BM_Fig3_SecureSchedulingThreaded(benchmark::State& state) {
-  // The worker-pool master on the heaviest secure workload (128x4): wave
-  // authorisation + dispatch fan out across `workers` pool threads
-  // (workers = 1 is the serial scheduler, the single-thread regression
-  // guard). The counter is named "workers" because Google Benchmark
-  // reserves the JSON field "threads" for its own --threads sweeps;
-  // tools/bench_report.py copies it into a "threads" field on merge.
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  Rig rig(4, /*security=*/true, workers);
-  webcom::Graph g = wide_graph(128, true);
-  for (auto _ : state) {
-    auto v = rig.master->execute(g);
-    if (!v.ok()) state.SkipWithError(v.error().message.c_str());
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations() * 129);
-  state.counters["workers"] = static_cast<double>(workers);
-  state.counters["kn_queries"] =
-      static_cast<double>(rig.master->stats().keynote_queries);
-}
-BENCHMARK(BM_Fig3_SecureSchedulingThreaded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Fig3_FlightArmedSecureScheduling(benchmark::State& state) {
-  // The serial secure 128x4 workload (identical to
-  // BM_Fig3_SecureSchedulingThreaded/1) with the flight recorder ARMED
-  // but idle: no thresholds, no dumps, metrics off. Every decision pays
-  // one steady_clock pair plus a ring-slot write. Compare against
-  // Threaded/1 — the acceptance bound is <= 2% overhead.
+  // The secure 128x4 workload (identical to BM_Fig3_SchedulingSecure/128/4)
+  // with the flight recorder ARMED but idle: no thresholds, no dumps,
+  // metrics off. Every decision pays one steady_clock pair plus a
+  // ring-slot write. Compare against SchedulingSecure/128/4 — the
+  // acceptance bound is <= 2% overhead.
   auto& recorder = obs::FlightRecorder::global();
   recorder.clear_thresholds();
   recorder.arm();
-  Rig rig(4, /*security=*/true, /*workers=*/1);
+  Rig rig(4, /*security=*/true);
   webcom::Graph g = wide_graph(128, true);
   for (auto _ : state) {
     auto v = rig.master->execute(g);
@@ -174,7 +146,6 @@ void BM_Fig3_FlightArmedSecureScheduling(benchmark::State& state) {
   }
   recorder.disarm();
   state.SetItemsProcessed(state.iterations() * 129);
-  state.counters["workers"] = 1.0;
   state.counters["flight_events"] =
       static_cast<double>(recorder.stats().events);
 }

@@ -6,8 +6,8 @@
 // number of users.
 #include <benchmark/benchmark.h>
 
+#include "keynote/compiled_store.hpp"
 #include "keynote/query.hpp"
-#include "keynote/store.hpp"
 #include "rbac/fixtures.hpp"
 #include "spki/rbac_to_spki.hpp"
 #include "translate/rbac_to_keynote.hpp"
@@ -58,14 +58,14 @@ void BM_TmCompare_KeynoteDecision(benchmark::State& state) {
 BENCHMARK(BM_TmCompare_KeynoteDecision)->Arg(0)->Arg(20)->Arg(100);
 
 void BM_TmCompare_KeynoteStoreDecision(benchmark::State& state) {
-  // Deployment path: CredentialStore verifies signatures on add, so
+  // Deployment path: CompiledStore verifies signatures on add, so
   // queries run signature-free — the same verify-on-add design SPKI's
-  // CertStore uses.
+  // CertStore uses — against a compiled, memoized snapshot.
   auto policy = sized_policy(static_cast<std::size_t>(state.range(0)));
   translate::KeyRingDirectory dir(ring());
   const auto& admin = ring().identity("KWebCom");
   auto compiled = translate::compile_policy_signed(policy, admin, dir).take();
-  keynote::CredentialStore store;
+  keynote::CompiledStore store;
   store.add_policy(compiled.policy).ok();
   for (const auto& cred : compiled.membership_credentials) {
     store.add_credential(cred).ok();

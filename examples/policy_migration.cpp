@@ -11,7 +11,7 @@
 // agree on every access decision the vocabulary can express.
 #include <cstdio>
 
-#include "keynote/store.hpp"
+#include "keynote/compiled_store.hpp"
 #include "middleware/com/catalogue.hpp"
 #include "middleware/ejb/container.hpp"
 #include "translate/migration.hpp"
@@ -57,7 +57,7 @@ int main() {
   auto compiled = translate::compile_policy_signed(y.export_policy(), admin,
                                                    directory)
                       .take();
-  keynote::CredentialStore w;
+  keynote::CompiledStore w;
   w.add_policy(compiled.policy).ok();
   for (const auto& cred : compiled.membership_credentials) {
     w.add_credential(cred).ok();

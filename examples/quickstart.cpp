@@ -7,9 +7,11 @@
 //     backed by a live CORBA ORB simulator.
 #include <cstdio>
 
+#include "authz/keynote_authorizer.hpp"
+#include "authz/middleware_authorizer.hpp"
+#include "authz/stack.hpp"
 #include "middleware/corba/orb.hpp"
 #include "rbac/fixtures.hpp"
-#include "stack/layers.hpp"
 #include "translate/directory.hpp"
 #include "translate/rbac_to_keynote.hpp"
 
@@ -45,21 +47,20 @@ int main() {
   }
   orb.import_policy(orb_policy).ok();
 
-  keynote::CredentialStore store;
+  keynote::CompiledStore store;
   store.add_policy(compiled.policy).ok();
   for (const auto& cred : compiled.membership_credentials) {
     store.add_credential(cred).ok();
   }
 
   middleware::AuditLog audit;
-  stack::StackedAuthorizer authorizer(stack::Composition::kFirstDecisive,
-                                      &audit);
-  authorizer.push(std::make_shared<stack::MiddlewareLayer>(orb));
-  authorizer.push(std::make_shared<stack::TrustLayer>(store));
+  authz::Stack authorizer(authz::Composition::kFirstDecisive, &audit);
+  authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(orb));
+  authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(store));
 
   auto mediate = [&](const char* user, const char* domain, const char* role,
                      const char* permission) {
-    stack::Request r;
+    authz::Request r;
     r.user = user;
     r.principal = directory.principal_of(user);
     r.object_type = "SalariesDB";
@@ -97,7 +98,7 @@ int main() {
           .take();
   store.add_credential(kate_cred).ok();
 
-  stack::Request kate;
+  authz::Request kate;
   kate.user = "Kate";
   kate.principal = directory.principal_of("Kate");
   kate.object_type = "SalariesDB";

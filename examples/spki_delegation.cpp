@@ -4,6 +4,7 @@
 // swap-in of the SPKI layer into the Figure 10 stack.
 #include <cstdio>
 
+#include "authz/stack.hpp"
 #include "rbac/fixtures.hpp"
 #include "spki/layer.hpp"
 
@@ -61,9 +62,9 @@ int main() {
   // The SPKI layer slots into the Figure 10 stack where the KeyNote layer
   // would sit.
   std::printf("\n== As the L2 layer of the Figure 10 stack ==\n");
-  stack::StackedAuthorizer authorizer;
+  authz::Stack authorizer;
   authorizer.push(std::make_shared<spki::SpkiLayer>(store, admin.principal()));
-  stack::Request req;
+  authz::Request req;
   req.user = "Bob";
   req.principal = directory.principal_of("Bob");
   req.object_type = "SalariesDB";

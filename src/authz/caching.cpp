@@ -1,10 +1,8 @@
 #include "authz/caching.hpp"
 
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <mutex>
-#include <vector>
 
 #include "obs/flight_recorder.hpp"
 
@@ -40,8 +38,6 @@ CachingAuthorizer::CachingAuthorizer(const Authorizer& inner, Options options)
       metric_prefix_(options.metric_prefix),
       shard_mask_(round_up_pow2(options.shards == 0 ? 1 : options.shards) - 1),
       shards_(new Shard[shard_mask_ + 1]),
-      pool_(options.pool),
-      min_batch_fanout_(options.min_batch_fanout),
       obs_hits_(
           obs::Registry::global().counter(options.metric_prefix + "_hits")),
       obs_misses_(
@@ -78,8 +74,7 @@ std::string CachingAuthorizer::cache_key(const Request& request) {
 
 std::size_t CachingAuthorizer::shard_index(const Request& request) const {
   // Principal hash, not full-key hash: one principal's decisions live in
-  // one shard, so shards partition the principal space and a worker that
-  // owns a shard owns those principals outright.
+  // one shard, so shards partition the principal space.
   return std::hash<std::string>{}(request.principal) & shard_mask_;
 }
 
@@ -165,53 +160,6 @@ Verdict CachingAuthorizer::decide_impl(const Request& request) const {
   return verdict;
 }
 
-std::vector<Verdict> CachingAuthorizer::decide_batch(
-    std::span<const Request> requests) const {
-  if (pool_ == nullptr || requests.size() < min_batch_fanout_) {
-    return Authorizer::decide_batch(requests);
-  }
-  batch_fanouts_.fetch_add(1, kRelaxed);
-  // Partition by owning worker so each shard's requests are decided by
-  // exactly one thread: shared-nothing within the batch, and shard-affine
-  // across batches (the same principal always lands on the same worker's
-  // shard group, whose map stays warm in that worker's cache).
-  const std::size_t n_workers = pool_->size();
-  std::vector<std::vector<std::uint32_t>> by_worker(n_workers);
-  for (std::uint32_t i = 0; i < requests.size(); ++i) {
-    by_worker[shard_index(requests[i]) % n_workers].push_back(i);
-  }
-  std::vector<Verdict> out(requests.size());
-  std::size_t populated = 0;
-  std::size_t caller_worker = n_workers;  // first populated group, run inline
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    if (by_worker[w].empty()) continue;
-    ++populated;
-    if (caller_worker == n_workers) caller_worker = w;
-  }
-  struct Gather {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t remaining;
-  } gather{{}, {}, populated == 0 ? 0 : populated - 1};
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    if (w == caller_worker || by_worker[w].empty()) continue;
-    pool_->submit_to(w, [this, &requests, &out, &gather,
-                         group = &by_worker[w]] {
-      for (std::uint32_t i : *group) out[i] = decide(requests[i]);
-      std::scoped_lock lock(gather.mu);
-      if (--gather.remaining == 0) gather.cv.notify_one();
-    });
-  }
-  if (caller_worker != n_workers) {
-    for (std::uint32_t i : by_worker[caller_worker]) {
-      out[i] = decide(requests[i]);
-    }
-  }
-  std::unique_lock lock(gather.mu);
-  gather.cv.wait(lock, [&] { return gather.remaining == 0; });
-  return out;
-}
-
 void CachingAuthorizer::invalidate() {
   bool dropped = false;
   for (std::size_t i = 0; i <= shard_mask_; ++i) {
@@ -225,8 +173,7 @@ void CachingAuthorizer::invalidate() {
 
 CachingAuthorizer::Stats CachingAuthorizer::stats() const {
   return Stats{hits_.load(kRelaxed), misses_.load(kRelaxed),
-               bypasses_.load(kRelaxed), invalidations_.load(kRelaxed),
-               batch_fanouts_.load(kRelaxed)};
+               bypasses_.load(kRelaxed), invalidations_.load(kRelaxed)};
 }
 
 std::size_t CachingAuthorizer::size() const {

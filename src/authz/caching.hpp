@@ -12,13 +12,8 @@
 // way). Requests presenting credentials are not pure functions of their
 // fields and bypass the cache.
 //
-// With a `util::TaskPool` attached (Options::pool), `decide_batch` runs
-// shared-nothing: the batch is partitioned by owning worker
-// (worker = shard % pool->size()) and each partition is decided on the
-// worker that owns those shards, so within a batch no two threads ever
-// touch the same shard — the hit path fans out with no cross-shard lock
-// contention. The shard mutexes remain (plain `decide` may be called from
-// any thread), but on the pooled batch path they are uncontended.
+// Each shard has its own mutex, so concurrent callers contend only when
+// their principals share a shard.
 //
 // Statistics are kept in always-on relaxed atomics (`stats()`), separate
 // from the obs registry counters (`<metric_prefix>_hits` / `_misses`),
@@ -37,7 +32,6 @@
 #include "authz/authz.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/task_pool.hpp"
 
 namespace mwsec::authz {
 
@@ -48,15 +42,6 @@ class CachingAuthorizer final : public Authorizer {
     std::size_t shards = 8;
     /// Registry counters are published as "<prefix>_hits"/"<prefix>_misses".
     std::string metric_prefix = "authz.cache";
-    /// When set, decide_batch partitions by shard owner and fans out
-    /// across this pool (shared-nothing batches; see the header comment).
-    /// The pool must outlive this authoriser. Null = decide in a loop on
-    /// the calling thread.
-    util::TaskPool* pool = nullptr;
-    /// Batches smaller than this stay on the calling thread even with a
-    /// pool attached (the scatter/gather costs more than a handful of
-    /// cache hits).
-    std::size_t min_batch_fanout = 8;
   };
 
   /// `inner` must outlive this decorator.
@@ -71,11 +56,6 @@ class CachingAuthorizer final : public Authorizer {
   }
 
   Verdict decide(const Request& request) const override;
-
-  /// Shared-nothing batch fan-out when a pool is attached; otherwise the
-  /// base-class loop over decide().
-  std::vector<Verdict> decide_batch(
-      std::span<const Request> requests) const override;
 
   /// Drop every cached verdict regardless of epoch — e.g. a scheduler
   /// client attaching with no credentials must never be answered from
@@ -96,7 +76,6 @@ class CachingAuthorizer final : public Authorizer {
     std::uint64_t misses = 0;        ///< backend queries paid
     std::uint64_t bypasses = 0;      ///< credential-bearing requests
     std::uint64_t invalidations = 0; ///< epoch flushes + explicit ones
-    std::uint64_t batch_fanouts = 0; ///< decide_batch calls run on the pool
   };
   Stats stats() const;
 
@@ -104,8 +83,7 @@ class CachingAuthorizer final : public Authorizer {
   std::size_t size() const;
 
   std::size_t shard_count() const { return shard_mask_ + 1; }
-  /// The shard `request`'s principal maps to (tests assert the
-  /// shared-nothing partition against this).
+  /// The shard `request`'s principal maps to.
   std::size_t shard_index(const Request& request) const;
 
  private:
@@ -126,13 +104,10 @@ class CachingAuthorizer final : public Authorizer {
   std::function<obs::TraceContext()> provenance_;
   std::size_t shard_mask_;
   std::unique_ptr<Shard[]> shards_;
-  util::TaskPool* pool_;
-  std::size_t min_batch_fanout_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> bypasses_{0};
   mutable std::atomic<std::uint64_t> invalidations_{0};
-  mutable std::atomic<std::uint64_t> batch_fanouts_{0};
   obs::Counter& obs_hits_;
   obs::Counter& obs_misses_;
 };

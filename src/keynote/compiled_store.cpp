@@ -565,6 +565,9 @@ mwsec::Status CompiledStore::add_policy_text(std::string_view text) {
 
 mwsec::Status CompiledStore::add_credential(Assertion assertion,
                                             bool verify_signature) {
+  if (assertion.is_policy()) {
+    return Error::make("POLICY assertion offered as credential", "store");
+  }
   if (verify_signature) {
     EngineMetrics::get().admission_verifies.inc();
     if (auto v = assertion.verify(); !v.ok()) return v;

@@ -36,9 +36,10 @@
 //     reaches _MAX_TRUST. Cold-query cost therefore scales with the
 //     requester's delegation neighbourhood, not with store size.
 //
-// `CompiledStore` packages this behind the same mutator/query surface as
-// `CredentialStore`; queries run against an immutable `Snapshot` that is
-// rebuilt lazily when the store's version counter moves.
+// `CompiledStore` packages this behind a mutator/query surface — the
+// per-node credential store every KeyNote decision in the repository runs
+// against; queries run against an immutable `Snapshot` that is rebuilt
+// lazily when the store's version counter moves.
 #pragma once
 
 #include <atomic>
@@ -229,19 +230,25 @@ class CompiledIndex {
   bool all_candidates_ = true;
 };
 
-/// Drop-in replacement for `CredentialStore` with compiled queries.
-/// Mutators mirror `CredentialStore`; every mutation bumps `version()`,
-/// which consumers (e.g. the WebCom scheduler's decision cache) use for
-/// invalidation.
+/// A node's KeyNote credential store — its local POLICY assertions plus
+/// the signed credentials it has admitted — with compiled queries. Policies
+/// and credentials are kept apart: each mutator refuses the other kind.
+/// Every mutation bumps `version()`, which consumers (e.g. the WebCom
+/// scheduler's decision cache) use for invalidation.
 class CompiledStore {
  public:
+  /// Add a POLICY assertion (unsigned, trusted by fiat); anything else is
+  /// refused.
   mwsec::Status add_policy(Assertion assertion);
+  /// Parse a bundle of POLICY assertions and add them all.
   mwsec::Status add_policy_text(std::string_view text);
 
   /// Add a credential; its signature is verified here, exactly once —
   /// queries never re-verify stored credentials. A replica applying a
   /// delta from an authority that already verified at admission may pass
-  /// `verify_signature = false` (the sync channel vouches for it).
+  /// `verify_signature = false` (the sync channel vouches for it). A
+  /// POLICY assertion is refused whatever `verify_signature` says: it
+  /// would pass verification unsigned and then act as a trust root.
   mwsec::Status add_credential(Assertion assertion,
                                bool verify_signature = true);
 

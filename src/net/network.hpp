@@ -16,9 +16,9 @@
 // routing (the name→endpoint map) and partitions are read-mostly behind a
 // shared_mutex (senders take it shared), traffic statistics are relaxed
 // atomics, and the fault-injection RNG — only consulted when a fault
-// probability is non-zero — has its own lock. The worker-pool WebCom
-// master dispatches from many threads through one Network; none of them
-// contend on a global lock.
+// probability is non-zero — has its own lock. Masters, clients, replicas
+// and authorities send from their own threads through one Network; none
+// of them contend on a global lock.
 #pragma once
 
 #include "net/transport.hpp"

@@ -6,8 +6,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <random>
 #include <thread>
 
 namespace mwsec::orchestrate {
@@ -20,23 +24,58 @@ std::string self_exe_path() {
   return std::string(buf);
 }
 
-std::uint16_t pick_unused_port() {
+namespace {
+
+/// Bind a loopback socket to `port` (0: any) the way a TcpTransport
+/// listener does, release it, and return the port bound (0 on failure).
+std::uint16_t probe_port(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return 0;
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  std::uint16_t port = 0;
+  addr.sin_port = htons(port);
+  std::uint16_t bound_port = 0;
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
     sockaddr_in bound{};
     socklen_t len = sizeof(bound);
     if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      port = ntohs(bound.sin_port);
+      bound_port = ntohs(bound.sin_port);
     }
   }
   ::close(fd);
-  return port;
+  return bound_port;
+}
+
+/// The low end of the kernel's ephemeral port range (32768 when unknown).
+unsigned ephemeral_low() {
+  std::ifstream in("/proc/sys/net/ipv4/ip_local_port_range");
+  unsigned low = 0;
+  if (in >> low && low > 0) return low;
+  return 32768;
+}
+
+}  // namespace
+
+std::uint16_t pick_unused_port() {
+  // Candidates lie in [low / 2, low), just below the ephemeral range that
+  // starts at `low`. connect() takes its local port from that range, so
+  // no outgoing connection can grab a candidate before its role binds it.
+  // The cursor starts at a random offset and only moves forward, so one
+  // plan never repeats a port and concurrent plans rarely meet.
+  static const unsigned low = ephemeral_low();
+  static std::atomic<unsigned> cursor{std::random_device{}()};
+  const unsigned base = std::max(1024u, low / 2);
+  if (low <= base) return probe_port(0);
+  const unsigned span = low - base;
+  for (unsigned attempt = 0; attempt < span; ++attempt) {
+    const auto port = static_cast<std::uint16_t>(
+        base + cursor.fetch_add(1, std::memory_order_relaxed) % span);
+    if (probe_port(port) == port) return port;
+  }
+  return probe_port(0);
 }
 
 std::string encode_routes(const std::map<std::string, std::string>& routes) {

@@ -22,10 +22,13 @@ namespace mwsec::orchestrate {
 /// test or tool can respawn itself in a role.
 std::string self_exe_path();
 
-/// Bind-and-release an ephemeral loopback port. The tiny window between
-/// release and the child's bind is racable in principle; in practice the
-/// kernel does not rehand the port out immediately, and the orchestrated
-/// scenarios are test rigs, not production deployments.
+/// Bind-and-release a free loopback port for a role to listen on later.
+/// Ports come from below the kernel's ephemeral range, because an
+/// ephemeral one can be taken by any outgoing connect() before the role
+/// binds it. Successive calls in a process never repeat a port until
+/// they have walked the whole range. Another process could still bind
+/// the port first; the orchestrated scenarios are test rigs, not
+/// production deployments.
 std::uint16_t pick_unused_port();
 
 /// "name=host:port,name=host:port" — the route-plan codec passed to role

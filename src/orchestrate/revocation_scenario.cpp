@@ -21,6 +21,12 @@ constexpr const char* kRoleAdmin = "revocation-admin";
 constexpr const char* kRoleReplica = "revocation-replica";
 constexpr const char* kCtlEndpoint = "ctl";
 
+// A replica resends an unacknowledged report this often; the admin stays
+// up acknowledging until no report has arrived for kAdminQuiet, so an ack
+// lost on the way back is answered by the next resend.
+constexpr auto kReportResend = 20ms;
+constexpr auto kAdminQuiet = 250ms;
+
 // ---- deterministic scenario material (identical in every process) ----
 
 crypto::KeyRing& ring() {
@@ -148,13 +154,19 @@ int run_admin(const RoleArgs& args) {
   const auto started = std::chrono::steady_clock::now();
   const auto deadline = started + args.timeout;
 
-  // Barrier: every replica reports its phase over the transport itself.
+  // Barrier: every replica reports its phase over the transport itself,
+  // and every report is acknowledged, whichever phase it names. An ack
+  // that fails to go out is repaired by the replica's next resend.
+  auto acknowledge = [&](const net::Message& m) {
+    (*ctl)->send(m.from, "ack-" + m.subject, {}).ok();
+  };
   auto collect = [&](const std::string& phase) -> bool {
-    std::set<std::string> seen;  // dedupe — TCP delivery is at-least-once
+    std::set<std::string> seen;  // dedupe — replicas resend until acked
     while (static_cast<int>(seen.size()) < args.replicas) {
       if (std::chrono::steady_clock::now() >= deadline) return false;
       auto m = (*ctl)->receive(100ms);
       if (!m.has_value()) continue;
+      acknowledge(*m);
       if (m->subject == phase) seen.insert(m->from);
     }
     return true;
@@ -182,6 +194,11 @@ int run_admin(const RoleArgs& args) {
 
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - started);
+
+  // Answer resends until the replicas fall quiet: each stops resending
+  // once its ack arrives, so silence means every replica has one.
+  while (auto m = (*ctl)->receive(kAdminQuiet)) acknowledge(*m);
+
   // The summary line the parent parses into a ScenarioReport.
   std::printf("permits=%d denieds=%d elapsed_ms=%lld\n", args.replicas,
               args.replicas,
@@ -233,6 +250,22 @@ int run_replica(const RoleArgs& args) {
   if (!report.ok()) return 4;
   const auto deadline = std::chrono::steady_clock::now() + args.timeout;
 
+  // Report `phase` to the barrier, resending until the admin acks it.
+  auto report_phase = [&](const std::string& phase) -> bool {
+    const std::string ack = "ack-" + phase;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (!(*report)->send(kCtlEndpoint, phase, {}).ok()) return false;
+      const auto resend_at = std::chrono::steady_clock::now() + kReportResend;
+      while (auto m = (*report)->receive(kReportResend)) {
+        if (m->subject == ack) return true;
+        if (std::chrono::steady_clock::now() >= resend_at) break;
+      }
+    }
+    std::fprintf(stderr, "[r%s] no ack for %s\n", suffix.c_str(),
+                 phase.c_str());
+    return false;
+  };
+
   // Phase 1: execute until the commissioned membership reaches this
   // process's replica and the task is permitted.
   for (;;) {
@@ -252,7 +285,7 @@ int run_replica(const RoleArgs& args) {
     }
     std::this_thread::sleep_for(10ms);
   }
-  if (!(*report)->send(kCtlEndpoint, "permit", {}).ok()) return 4;
+  if (!report_phase("permit")) return 4;
 
   // Phase 2: the withdrawal flips the same, still-attached client to
   // denied on a subsequent round — revocation liveness across processes.
@@ -266,7 +299,7 @@ int run_replica(const RoleArgs& args) {
     if (!v.ok() && v.error().code == "denied") break;
     std::this_thread::sleep_for(10ms);
   }
-  if (!(*report)->send(kCtlEndpoint, "denied", {}).ok()) return 4;
+  if (!report_phase("denied")) return 4;
   return 0;
 }
 
@@ -329,11 +362,13 @@ mwsec::Result<ScenarioReport> run_revocation_scenario(
   ProcessGroup group;
 
   // Admin routes: the authority pushes deltas to each process's policy
-  // replica, named "m<i>.sync" by webcom::Master::subscribe_policy.
+  // replica, named "m<i>.sync" by webcom::Master::subscribe_policy, and
+  // the barrier acks each replica's report endpoint "r<i>".
   std::map<std::string, std::string> admin_routes;
   for (int i = 0; i < options.replicas; ++i) {
-    admin_routes["m" + std::to_string(i) + ".sync"] =
-        "127.0.0.1:" + std::to_string(replica_ports[i]);
+    const std::string addr = "127.0.0.1:" + std::to_string(replica_ports[i]);
+    admin_routes["m" + std::to_string(i) + ".sync"] = addr;
+    admin_routes["r" + std::to_string(i)] = addr;
   }
   auto admin = group.spawn(
       "admin", exe,

@@ -19,6 +19,11 @@
 // uses the same deterministic crypto::KeyRing seed, so key material
 // agrees without any key exchange.
 //
+// The barrier is acknowledged: a replica resends its phase report until
+// the admin's ack comes back, and only then moves on or exits. A report
+// sent once can be lost, either to the transport's fault injection or
+// because it is still queued when the replica's transport stops at exit.
+//
 // The parent (tools/mwsec-orchestrate or the integration test) spawns
 // the roles from its own binary: call maybe_run_role() first thing in
 // main() so the re-exec'd child becomes its role instead of the parent.

@@ -2,6 +2,10 @@
 
 namespace mwsec::stack {
 
+using authz::Decision;
+using authz::Request;
+using authz::Verdict;
+
 Verdict OsLayer::decide(const Request& request) const {
   if (!os_.account_exists(request.user)) return Verdict::deny("L0-os");
   if (os_.check(request.user, request.object_type, request.permission)) {
@@ -29,29 +33,6 @@ std::string OsLayer::explain(const Request& request,
       return "no ACL entry for " + request.object_type + " (not an OS object)";
   }
   return {};
-}
-
-Verdict TrustLayer::decide(const Request& request) const {
-  auto r = store_.query(authz::fig5_query(request), request.credentials);
-  if (!r.ok()) return Verdict::deny(name());
-  return r->authorized() ? Verdict::permit(name()) : Verdict::deny(name());
-}
-
-std::string TrustLayer::explain(const Request& request,
-                                const Verdict& verdict) const {
-  // Re-evaluate to recover the compliance value and any dropped
-  // credentials; explain() runs on the trace/audit path only.
-  auto r = store_.query(authz::fig5_query(request), request.credentials);
-  if (!r.ok()) {
-    return "query failed: " + r.error().message;
-  }
-  std::string out = "compliance '" + r->value_name + "' for principal '" +
-                    request.principal + "' under " +
-                    authz::fig5_env_text(request);
-  if (verdict.decision == Decision::kDeny && !r->dropped_credentials.empty()) {
-    out += "; dropped credentials: " + r->dropped_credentials.front();
-  }
-  return out;
 }
 
 }  // namespace mwsec::stack

@@ -1,83 +1,51 @@
 // Stacked authorisation (paper §5, Figure 10).
 //
-// The layer model now lives in the authz core (src/authz): `Layer` IS
+// The layer model lives in the authz core (src/authz): a layer is an
 // `authz::Authorizer`, the tri-state fold and fail-closed rule are
-// `authz::Stack`, and the middleware adapter is
-// `authz::MiddlewareAuthorizer` — this header keeps the Figure 10 names
-// and provides the layers with stack-specific backends: the OS layer
-// (accounts + ACLs) and the KeyNote trust layer over the interpreting
-// `CredentialStore` (the compiled-store variant is
-// `authz::KeyNoteAuthorizer`).
+// `authz::Stack`, the L1 middleware adapter is
+// `authz::MiddlewareAuthorizer` and the L2 KeyNote layer is
+// `authz::KeyNoteAuthorizer`. This header adds the two layers with
+// stack-specific backends: the OS layer (accounts + ACLs) and the
+// application-predicate hook.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "authz/authz.hpp"
-#include "authz/middleware_authorizer.hpp"
-#include "authz/stack.hpp"
-#include "keynote/store.hpp"
 #include "stack/os.hpp"
 
 namespace mwsec::stack {
 
-using Decision = authz::Decision;
-using Request = authz::Request;
-using Verdict = authz::Verdict;
-using Layer = authz::Authorizer;
-using Composition = authz::Composition;
-using StackedAuthorizer = authz::Stack;
-/// L1: a middleware's native mediation (abstains when the object type is
-/// not served by this middleware).
-using MiddlewareLayer = authz::MiddlewareAuthorizer;
-using authz::decision_name;
-
 /// L0: OS accounts + ACLs. Denies requests from non-existent accounts;
 /// abstains on objects it has no ACL entries for.
-class OsLayer final : public Layer {
+class OsLayer final : public authz::Authorizer {
  public:
   explicit OsLayer(const OsSecurity& os) : os_(os) {}
   std::string name() const override { return "L0-os"; }
-  Verdict decide(const Request& request) const override;
-  std::string explain(const Request& request,
-                      const Verdict& verdict) const override;
+  authz::Verdict decide(const authz::Request& request) const override;
+  std::string explain(const authz::Request& request,
+                      const authz::Verdict& verdict) const override;
 
  private:
   const OsSecurity& os_;
 };
 
-/// L2: KeyNote over the interpreting `CredentialStore`. Queries with the
-/// Figure 5 attribute vocabulary; permits on _MAX_TRUST, denies otherwise.
-/// Never abstains — trust management always has an opinion
-/// (deny-by-default).
-class TrustLayer final : public Layer {
- public:
-  explicit TrustLayer(const keynote::CredentialStore& store) : store_(store) {}
-  std::string name() const override { return "L2-keynote"; }
-  Verdict decide(const Request& request) const override;
-  std::string explain(const Request& request,
-                      const Verdict& verdict) const override;
-
- private:
-  const keynote::CredentialStore& store_;
-};
-
 /// L3: application hook (condensed-graph-level policy); the paper notes
 /// this layer exists but does not elaborate — provided as a predicate.
-class ApplicationLayer final : public Layer {
+class ApplicationLayer final : public authz::Authorizer {
  public:
-  using Predicate = std::function<Decision(const Request&)>;
+  using Predicate = std::function<authz::Decision(const authz::Request&)>;
   explicit ApplicationLayer(Predicate predicate)
       : predicate_(std::move(predicate)) {}
   std::string name() const override { return "L3-application"; }
-  Verdict decide(const Request& request) const override {
+  authz::Verdict decide(const authz::Request& request) const override {
     switch (predicate_(request)) {
-      case Decision::kPermit: return Verdict::permit(name());
-      case Decision::kDeny: return Verdict::deny(name());
-      case Decision::kAbstain: break;
+      case authz::Decision::kPermit: return authz::Verdict::permit(name());
+      case authz::Decision::kDeny: return authz::Verdict::deny(name());
+      case authz::Decision::kAbstain: break;
     }
-    return Verdict::abstain(name());
+    return authz::Verdict::abstain(name());
   }
 
  private:

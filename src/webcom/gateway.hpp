@@ -9,7 +9,7 @@
 
 #include <thread>
 
-#include "keynote/store.hpp"
+#include "keynote/compiled_store.hpp"
 #include "net/transport.hpp"
 #include "webcom/graph_io.hpp"
 #include "webcom/scheduler.hpp"
@@ -50,7 +50,7 @@ class Gateway {
 
   /// Trust root: who may submit what. Queried with attributes
   /// app_domain="WebCom", Operation="submit", Graph=<graph_name>.
-  keynote::CredentialStore& store() { return store_; }
+  keynote::CompiledStore& store() { return store_; }
 
   mwsec::Status start();
   void stop();
@@ -68,7 +68,7 @@ class Gateway {
   net::Transport& network_;
   std::string endpoint_name_;
   Master& master_;
-  keynote::CredentialStore store_;
+  keynote::CompiledStore store_;
   std::shared_ptr<net::Endpoint> endpoint_;
   std::jthread thread_;
   mutable std::mutex stats_mu_;

@@ -58,16 +58,7 @@ struct WebcomMetrics {
 Master::Master(net::Transport& network, const std::string& endpoint_name,
                const crypto::Identity& identity, MasterOptions options)
     : network_(network), identity_(identity), options_(options),
-      pool_(options.workers > 1 ? std::make_unique<util::TaskPool>(
-                                      options.workers)
-                                : nullptr),
-      // Shard count scales with the pool so the shared-nothing batch
-      // partition (shard % workers) spreads principals across every
-      // worker; serial masters keep the PR-6 default of 8.
-      authz_(keynote_authz_,
-             {.shards = std::max<std::size_t>(8, options.workers),
-              .metric_prefix = "webcom.decision_cache",
-              .pool = pool_.get()}) {
+      authz_(keynote_authz_, {.metric_prefix = "webcom.decision_cache"}) {
   auto ep = network_.open(endpoint_name);
   // An unusable endpoint is a programming error at construction time; the
   // scheduler cannot run without one. attach_client/execute report it as
@@ -339,192 +330,6 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
     return {};
   };
 
-  // Threaded dispatch: drain the ready queue as one wave and alternate
-  // parallel phases with short serial ones (see the header comment).
-  // clients_/client_alive_/busy/results are read concurrently in the
-  // parallel phases and mutated only by the serial phases and the control
-  // loop, never while a parallel phase runs.
-  auto dispatch_wave = [&]() -> mwsec::Status {
-    const std::size_t wave = ready.size();
-    if (wave == 0) return {};
-    std::vector<NodeId> nodes(wave);
-    for (std::size_t i = 0; i < wave; ++i) {
-      nodes[i] = ready.front();
-      ready.pop_front();
-    }
-
-    // Phase A (parallel): per-node candidate filtering + authorisation
-    // against the immutable store snapshot. Mirrors `dispatch`, including
-    // deferred authorisation when every candidate is busy.
-    struct Prepared {
-      std::vector<const ClientInfo*> eligible;
-      bool defer_busy = false;  ///< all candidates busy; authz deferred
-    };
-    std::vector<Prepared> prep(wave);
-    auto prepare = [&](std::size_t i, bool on_pool) {
-      const Node& node = graph.nodes()[nodes[i]];
-      Prepared& p = prep[i];
-      for (const auto& client : clients_) {
-        auto alive = client_alive_.find(client.endpoint);
-        if (alive == client_alive_.end() || !alive->second) continue;
-        if (!placement_ok(client, node)) continue;
-        p.eligible.push_back(&client);
-      }
-      if (!needs_authorisation(node) || p.eligible.empty()) return;
-      const bool any_idle = std::any_of(
-          p.eligible.begin(), p.eligible.end(), [&](const ClientInfo* c) {
-            return busy.count(c->endpoint) == 0;
-          });
-      if (!any_idle) {
-        p.defer_busy = true;
-        return;
-      }
-      if (on_pool) {
-        // Inside a pool task the wave is the unit of parallelism;
-        // per-candidate decisions stay on this worker (a nested pooled
-        // batch would have workers waiting on each other's queues).
-        std::size_t kept = 0;
-        for (const ClientInfo* c : p.eligible) {
-          if (authz_.decide(scheduling_request(*c, *node.target))
-                  .permitted()) {
-            p.eligible[kept++] = c;
-          }
-        }
-        p.eligible.resize(kept);
-      } else {
-        std::vector<authz::Request> requests;
-        requests.reserve(p.eligible.size());
-        for (const ClientInfo* c : p.eligible) {
-          requests.push_back(scheduling_request(*c, *node.target));
-        }
-        const auto verdicts = authz_.decide_batch(requests);
-        std::size_t kept = 0;
-        for (std::size_t k = 0; k < p.eligible.size(); ++k) {
-          if (verdicts[k].permitted()) p.eligible[kept++] = p.eligible[k];
-        }
-        p.eligible.resize(kept);
-      }
-    };
-    if (wave == 1) {
-      // Single-node wave: prepare on the control thread, where the
-      // decision cache's pooled batch fan-out is safe — candidate
-      // authorisation still spreads across the workers.
-      prepare(0, /*on_pool=*/false);
-    } else {
-      pool_->parallel_for(wave, [&](std::size_t i) { prepare(i, true); });
-    }
-
-    // Phase B (serial): assign clients in wave order. Denial and
-    // busy-deferral match the serial path; busy updates here feed later
-    // nodes of this wave exactly as sequential dispatch would.
-    struct Assignment {
-      NodeId node;
-      const ClientInfo* client;
-      std::uint64_t task_id;
-      int attempt;
-      TaskMessage task;
-      obs::Span span;  ///< created serially (Phase B), sent with the task
-      mwsec::Status resolve;
-      mwsec::Status send;
-    };
-    std::vector<Assignment> assigned;
-    assigned.reserve(wave);
-    for (std::size_t i = 0; i < wave; ++i) {
-      const NodeId id = nodes[i];
-      const Node& node = graph.nodes()[id];
-      if (node.condensed != nullptr) {
-        return Error::make(
-            "distributed execution of condensed nodes requires flattening "
-            "(evaluate locally or inline the subgraph)",
-            "webcom");
-      }
-      Prepared& p = prep[i];
-      if (p.defer_busy) {
-        ready.push_back(id);  // all candidates busy; re-authorise later
-        continue;
-      }
-      if (p.eligible.empty()) {
-        stats_.tasks_denied_by_master.fetch_add(1, std::memory_order_relaxed);
-        metrics.tasks_denied_by_master.inc();
-        if (run_span.active()) {
-          auto deny = run_span.child("webcom.schedule");
-          deny.set_attr("node", node.name);
-          deny.set_attr(obs::kAttrDecision, "deny");
-          deny.set_attr(obs::kAttrDeniedBy, "master");
-          deny.set_attr(obs::kAttrReason,
-                        "no attached client is authorised for " + node.name);
-          deny.set_status("denied");
-        }
-        return Error::make("no client is authorised to execute component " +
-                               node.name,
-                           "denied");
-      }
-      const ClientInfo* chosen = nullptr;
-      for (const ClientInfo* c : p.eligible) {
-        if (busy.count(c->endpoint)) continue;
-        chosen = c;
-        break;
-      }
-      if (chosen == nullptr) {
-        ready.push_back(id);  // all eligible clients busy; retry later
-        continue;
-      }
-      busy.insert(chosen->endpoint);
-      if (attempts[id] > 0) metrics.redispatches.inc();
-      ++attempts[id];
-      Assignment a;
-      a.node = id;
-      a.client = chosen;
-      a.task_id = next_task_id_.fetch_add(1, std::memory_order_relaxed);
-      a.attempt = attempts[id];
-      a.span = run_span.child("webcom.task");
-      if (a.span.active()) {
-        a.span.set_attr("node", node.name);
-        a.span.set_attr("client", chosen->endpoint);
-        a.span.set_attr("attempt", std::to_string(attempts[id]));
-      }
-      assigned.push_back(std::move(a));
-    }
-    if (assigned.empty()) return {};
-
-    // Phase C (parallel): build, encode and send each task. results[] is
-    // stable here (only the control loop writes it, between waves) and
-    // Network::send is safe for concurrent senders.
-    pool_->parallel_for(assigned.size(), [&](std::size_t i) {
-      Assignment& a = assigned[i];
-      const Node& node = graph.nodes()[a.node];
-      a.task.task_id = a.task_id;
-      a.task.node_name = node.name;
-      a.task.operation = node.operation;
-      a.resolve = resolve_inputs(a.node, a.task.inputs);
-      if (!a.resolve.ok()) return;
-      if (node.target.has_value()) a.task.target = *node.target;
-      a.task.master_principal = identity_.principal();
-      a.task.master_credentials = outbound_credentials_;
-      a.send = endpoint_->send(a.client->endpoint, kSubjectTask,
-                               a.task.encode(), a.span.context());
-    });
-
-    // Phase D (serial): inflight bookkeeping and spans.
-    const auto deadline =
-        std::chrono::steady_clock::now() + options_.task_timeout;
-    for (Assignment& a : assigned) {
-      if (!a.resolve.ok()) return a.resolve;
-      const Node& node = graph.nodes()[a.node];
-      stats_.tasks_dispatched.fetch_add(1, std::memory_order_relaxed);
-      metrics.tasks_dispatched.inc();
-      inflight[a.task_id] = Pending{a.node, a.client->endpoint, deadline,
-                                    a.attempt, std::move(a.span)};
-      if (!a.send.ok()) {
-        MWSEC_LOG(kWarn, "webcom")
-            << "dispatch of " << node.name << " to " << a.client->endpoint
-            << " failed (" << a.send.error().message
-            << "); will retry after timeout";
-      }
-    }
-    return {};
-  };
-
   // Process one received message (completion, client denial, failure).
   // Unknown task ids and non-result subjects are ignored, as before.
   auto handle_message = [&](const net::Message& message,
@@ -579,15 +384,11 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
 
   while (completed < n) {
     // Dispatch everything currently ready.
-    if (pool_ != nullptr) {
-      if (auto s = dispatch_wave(); !s.ok()) return s.error();
-    } else {
-      std::size_t to_dispatch = ready.size();
-      for (std::size_t i = 0; i < to_dispatch; ++i) {
-        NodeId id = ready.front();
-        ready.pop_front();
-        if (auto s = dispatch(id); !s.ok()) return s.error();
-      }
+    std::size_t to_dispatch = ready.size();
+    for (std::size_t i = 0; i < to_dispatch; ++i) {
+      NodeId id = ready.front();
+      ready.pop_front();
+      if (auto s = dispatch(id); !s.ok()) return s.error();
     }
 
     if (inflight.empty()) {
@@ -602,14 +403,6 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
     auto now = std::chrono::steady_clock::now();
     if (message.has_value()) {
       if (auto s = handle_message(*message, now); !s.ok()) return s.error();
-      if (pool_ != nullptr) {
-        // Threaded mode: drain everything already queued so the next wave
-        // sees the full set of newly-ready nodes (bigger waves = more
-        // parallelism) instead of one result per loop iteration.
-        while (auto more = endpoint_->try_receive()) {
-          if (auto s = handle_message(*more, now); !s.ok()) return s.error();
-        }
-      }
     }
 
     // Expire timed-out tasks: quarantine the client, retry elsewhere.

@@ -16,17 +16,6 @@
 // Fault tolerance: a task that times out (dead client, partitioned link,
 // lost message) is re-scheduled on another eligible client; the dead
 // client is quarantined.
-//
-// Concurrency (DESIGN.md §12): with MasterOptions::workers > 1 the master
-// runs `execute` as a sequence of *waves*. Each wave drains the ready
-// queue and alternates parallel phases (candidate filtering +
-// authorisation against immutable RCU store snapshots; task encoding and
-// network sends) with short serial phases (client assignment, inflight
-// bookkeeping) on the calling thread. Scheduling semantics are identical
-// to the serial path: one decision per (client, target, store version),
-// deferral-when-busy still skips authorisation, and denial/quarantine/
-// retry behave as in the paper. workers <= 1 is byte-for-byte the serial
-// PR-6 scheduler.
 #pragma once
 
 #include <atomic>
@@ -42,7 +31,6 @@
 #include "net/transport.hpp"
 #include "obs/trace.hpp"
 #include "sync/replica.hpp"
-#include "util/task_pool.hpp"
 #include "webcom/engine.hpp"
 #include "webcom/messages.hpp"
 
@@ -65,11 +53,6 @@ struct MasterOptions {
   bool security_enabled = true;
   std::chrono::milliseconds task_timeout{200};
   int max_attempts = 3;  ///< per node, across clients
-  /// Scheduler worker threads. 0 or 1 = fully serial execute() on the
-  /// calling thread (the paper-exact path). N > 1 = an N-thread TaskPool
-  /// drives wave-parallel eligibility checks + dispatch and the decision
-  /// cache's shared-nothing batch fan-out.
-  std::size_t workers = 0;
 };
 
 struct MasterStats {
@@ -123,9 +106,6 @@ class Master {
   /// The unified decision cache fronting the KeyNote store.
   const authz::CachingAuthorizer& authorizer() const { return authz_; }
 
-  /// Worker threads driving execute(); 0 when the master is serial.
-  std::size_t workers() const { return pool_ ? pool_->size() : 0; }
-
  private:
   struct Pending {
     NodeId node;
@@ -160,18 +140,15 @@ class Master {
   /// Store mutations (attach_client admitting credentials, policy edits
   /// through store()) move the version and invalidate.
   authz::KeyNoteAuthorizer keynote_authz_{store_};
-  /// Declared before authz_: the cache's batch fan-out borrows the pool,
-  /// so the pool must be constructed first and destroyed last.
-  std::unique_ptr<util::TaskPool> pool_;
   authz::CachingAuthorizer authz_;
   std::string outbound_credentials_;
   std::unique_ptr<sync::Replica> replica_;
   std::vector<ClientInfo> clients_;
   std::map<std::string, bool> client_alive_;
 
-  /// Counter twin of MasterStats: relaxed atomics, so the parallel wave
-  /// phases (and anything else off the control thread) can bump them
-  /// without a lock; stats() snapshots and derives the cache columns.
+  /// Counter twin of MasterStats: relaxed atomics, so stats() may be read
+  /// from any thread while execute() runs; it snapshots them and derives
+  /// the cache columns.
   struct AtomicMasterStats {
     std::atomic<std::uint64_t> tasks_dispatched{0};
     std::atomic<std::uint64_t> tasks_completed{0};

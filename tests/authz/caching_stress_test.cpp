@@ -17,7 +17,6 @@
 
 #include "authz/keynote_authorizer.hpp"
 #include "keynote/compiled_store.hpp"
-#include "util/task_pool.hpp"
 
 namespace mwsec::authz {
 namespace {
@@ -122,43 +121,12 @@ TEST(CachingStress, VerdictEpochCoherenceUnderConcurrentEpochBumps) {
   EXPECT_EQ(final_verdict.epoch, store.version());
 }
 
-TEST(CachingStress, PooledBatchesAgreeWithSerialDecisions) {
-  keynote::CompiledStore store;
-  ASSERT_TRUE(store.add_policy_text(trust("keven")).ok());
-  ASSERT_TRUE(store.add_policy_text(trust("kodd")).ok());
-
-  KeyNoteAuthorizer keynote_authz(store);
-  util::TaskPool pool(4);
-  CachingAuthorizer pooled(keynote_authz,
-                           {.shards = 8, .pool = &pool, .min_batch_fanout = 1});
-  CachingAuthorizer serial(keynote_authz, {.shards = 8});
-
-  std::vector<Request> requests;
-  for (int i = 0; i < 64; ++i) {
-    requests.push_back(request_for("kprincipal" + std::to_string(i % 7)));
-  }
-  requests.push_back(request_for("keven"));
-  requests.push_back(request_for("kodd"));
-
-  const auto fanned = pooled.decide_batch(requests);
-  const auto looped = serial.decide_batch(requests);
-  ASSERT_EQ(fanned.size(), looped.size());
-  for (std::size_t i = 0; i < fanned.size(); ++i) {
-    EXPECT_EQ(fanned[i].permitted(), looped[i].permitted()) << "index " << i;
-    EXPECT_EQ(fanned[i].epoch, looped[i].epoch) << "index " << i;
-  }
-  EXPECT_GT(pooled.stats().batch_fanouts, 0u);
-  EXPECT_EQ(serial.stats().batch_fanouts, 0u);
-}
-
 TEST(CachingStress, ConcurrentBatchesAndEpochBumps) {
   keynote::CompiledStore store;
   ASSERT_TRUE(store.add_policy_text(trust("kstable")).ok());
 
   KeyNoteAuthorizer keynote_authz(store);
-  util::TaskPool pool(4);
-  CachingAuthorizer cache(keynote_authz,
-                          {.shards = 8, .pool = &pool, .min_batch_fanout = 4});
+  CachingAuthorizer cache(keynote_authz, {.shards = 8});
 
   std::vector<Request> requests;
   for (int i = 0; i < 32; ++i) {

@@ -5,11 +5,13 @@
 //   execution --> KeyCOM onboarding of a new employee --> re-run.
 #include <gtest/gtest.h>
 
+#include "authz/keynote_authorizer.hpp"
+#include "authz/middleware_authorizer.hpp"
+#include "authz/stack.hpp"
 #include "net/network.hpp"
 #include "ide/palette.hpp"
 #include "keycom/service.hpp"
 #include "middleware/com/catalogue.hpp"
-#include "stack/layers.hpp"
 #include "translate/rbac_to_keynote.hpp"
 #include "webcom/scheduler.hpp"
 
@@ -43,18 +45,17 @@ TEST(FullSystem, PaperScenarioEndToEnd) {
   auto exported = catalogue.export_policy();
   auto compiled =
       translate::compile_policy_signed(exported, admin, directory).take();
-  keynote::CredentialStore store;
+  keynote::CompiledStore store;
   ASSERT_TRUE(store.add_policy(compiled.policy).ok());
   for (const auto& cred : compiled.membership_credentials) {
     ASSERT_TRUE(store.add_credential(cred).ok());
   }
 
   // --- 3. Stacked authorisation over both layers --------------------------
-  stack::StackedAuthorizer authorizer(stack::Composition::kAllMustPermit,
-                                      &audit);
-  authorizer.push(std::make_shared<stack::MiddlewareLayer>(catalogue));
-  authorizer.push(std::make_shared<stack::TrustLayer>(store));
-  stack::Request req;
+  authz::Stack authorizer(authz::Composition::kAllMustPermit, &audit);
+  authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(catalogue));
+  authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(store));
+  authz::Request req;
   req.user = "bob";
   req.principal = directory.principal_of("bob");
   req.object_type = "SalariesDB";
@@ -146,7 +147,7 @@ TEST(FullSystem, PaperScenarioEndToEnd) {
   EXPECT_TRUE(report->fully_applied());
 
   // The middleware layer now permits nadia...
-  stack::Request nadia;
+  authz::Request nadia;
   nadia.user = "nadia";
   nadia.principal = directory.principal_of("nadia");
   nadia.object_type = "SalariesDB";

@@ -5,12 +5,16 @@
 // k-of thresholds and delegation cycles, plus deterministic cases for each.
 //
 // Also covered: verify-once admission, the cross-query conditions memo
-// (second query of the same environment must give the same verdict), and
+// (second query of the same environment must give the same verdict),
 // store-version invalidation (revoking or replacing a credential changes
-// the next decision).
+// the next decision), and the store's mutator surface — idempotent adds,
+// the removal and listing calls, bundle round trips, and the separation
+// of policies from credentials.
 #include "keynote/compiled_store.hpp"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "keynote/query.hpp"
 #include "util/rng.hpp"
@@ -290,6 +294,173 @@ TEST(CompiledStore, SnapshotOutlivesStoreMutation) {
   // The snapshot is immutable: it still answers from the pre-clear world.
   EXPECT_TRUE(snapshot->query(q)->authorized());
   EXPECT_FALSE(store.query(q)->authorized());
+}
+
+Assertion policy_for(const std::string& licensee, const std::string& cond) {
+  return AssertionBuilder()
+      .authorizer("POLICY")
+      .licensees("\"" + ring().principal(licensee) + "\"")
+      .conditions(cond)
+      .build()
+      .take();
+}
+
+Assertion credential(const std::string& from, const std::string& to,
+                     const std::string& cond) {
+  return AssertionBuilder()
+      .authorizer("\"" + ring().principal(from) + "\"")
+      .licensees("\"" + ring().principal(to) + "\"")
+      .conditions(cond)
+      .build_signed(ring().identity(from))
+      .take();
+}
+
+TEST(CompiledStore, AddAndCount) {
+  CompiledStore store;
+  EXPECT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());
+  EXPECT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
+  EXPECT_EQ(store.policy_count(), 1u);
+  EXPECT_EQ(store.credential_count(), 1u);
+}
+
+TEST(CompiledStore, RejectsMisfiled) {
+  CompiledStore store;
+  EXPECT_FALSE(store.add_policy(credential("Ka", "Kb", "true")).ok());
+  EXPECT_EQ(store.policy_count(), 0u);
+}
+
+TEST(CompiledStore, RefusesPolicyOfferedAsCredential) {
+  // An unsigned `Authorizer: POLICY` assertion passes Assertion::verify()
+  // by fiat. Admitted as a credential it would become a trust root, so
+  // add_credential refuses it — with or without signature checking — and
+  // the store is left exactly as it was.
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());
+  ASSERT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
+  const std::string before = store.to_bundle_text();
+  const std::uint64_t version = store.version();
+
+  auto self_rooted = policy_for("Kmallory", "true");
+  EXPECT_FALSE(store.add_credential(self_rooted).ok());
+  EXPECT_FALSE(
+      store.add_credential(self_rooted, /*verify_signature=*/false).ok());
+  EXPECT_EQ(store.policy_count(), 1u);
+  EXPECT_EQ(store.credential_count(), 1u);
+  EXPECT_EQ(store.to_bundle_text(), before);
+  EXPECT_EQ(store.version(), version);
+
+  Query q;
+  q.action_authorizers = {ring().principal("Kmallory")};
+  EXPECT_FALSE(store.query(q)->authorized());
+}
+
+TEST(CompiledStore, RejectsUnverifiableCredential) {
+  CompiledStore store;
+  auto unsigned_cred = AssertionBuilder()
+                           .authorizer("\"" + ring().principal("Ka") + "\"")
+                           .licensees("\"Kb\"")
+                           .conditions("true")
+                           .build()
+                           .take();
+  EXPECT_FALSE(store.add_credential(unsigned_cred).ok());
+  EXPECT_EQ(store.credential_count(), 0u);
+}
+
+TEST(CompiledStore, AddIsIdempotent) {
+  CompiledStore store;
+  auto c = credential("Ka", "Kb", "true");
+  EXPECT_TRUE(store.add_credential(c).ok());
+  const std::uint64_t version = store.version();
+  EXPECT_TRUE(store.add_credential(c).ok());
+  EXPECT_EQ(store.credential_count(), 1u);
+  EXPECT_EQ(store.version(), version);
+}
+
+TEST(CompiledStore, RemoveMatching) {
+  CompiledStore store;
+  auto c1 = credential("Ka", "Kb", "oper==\"read\"");
+  auto c2 = credential("Ka", "Kb", "oper==\"write\"");
+  ASSERT_TRUE(store.add_credential(c1).ok());
+  ASSERT_TRUE(store.add_credential(c2).ok());
+  EXPECT_EQ(store.remove_matching(c1.to_text()), 1u);
+  EXPECT_EQ(store.credential_count(), 1u);
+  EXPECT_EQ(store.remove_matching(c1.to_text()), 0u);
+}
+
+TEST(CompiledStore, RemoveByAuthorizer) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
+  ASSERT_TRUE(store.add_credential(credential("Ka", "Kc", "true")).ok());
+  ASSERT_TRUE(store.add_credential(credential("Kd", "Ke", "true")).ok());
+  EXPECT_EQ(store.remove_by_authorizer(ring().principal("Ka")), 2u);
+  EXPECT_EQ(store.credential_count(), 1u);
+}
+
+TEST(CompiledStore, CredentialsByAuthorizer) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
+  ASSERT_TRUE(store.add_credential(credential("Kd", "Ke", "true")).ok());
+  EXPECT_EQ(store.credentials_by_authorizer(ring().principal("Ka")).size(),
+            1u);
+  EXPECT_EQ(store.credentials_by_authorizer("nobody").size(), 0u);
+}
+
+TEST(CompiledStore, QueryUsesStoredAndPresented) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());
+  Query q;
+  q.action_authorizers = {ring().principal("Kb")};
+  EXPECT_FALSE(store.query(q)->authorized());
+  // Presented at request time, not stored.
+  auto c = credential("Ka", "Kb", "true");
+  EXPECT_TRUE(store.query(q, {c})->authorized());
+  EXPECT_EQ(store.credential_count(), 0u);
+}
+
+TEST(CompiledStore, BundleRoundTrip) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(policy_for("Ka", "oper==\"read\"")).ok());
+  ASSERT_TRUE(
+      store.add_credential(credential("Ka", "Kb", "oper==\"read\"")).ok());
+  auto bundle = Assertion::parse_bundle(store.to_bundle_text());
+  ASSERT_TRUE(bundle.ok()) << bundle.error().message;
+  EXPECT_EQ(bundle->size(), 2u);
+}
+
+TEST(CompiledStore, ClearEmptiesEverything) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());
+  ASSERT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
+  store.clear();
+  EXPECT_EQ(store.policy_count(), 0u);
+  EXPECT_EQ(store.credential_count(), 0u);
+}
+
+TEST(CompiledStore, ConcurrentAddAndQuery) {
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());
+  // Pre-mint identities so threads do not race on key generation order
+  // (KeyRing is thread-safe, but determinism of *which* key a name gets
+  // depends on insertion order).
+  for (int i = 0; i < 4; ++i) ring().identity("Kw" + std::to_string(i));
+
+  std::vector<std::thread> threads;
+  threads.reserve(8);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&store, t] {
+      store.add_credential(credential("Ka", "Kw" + std::to_string(t), "true"))
+          .ok();
+    });
+  }
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&store, t] {
+      Query q;
+      q.action_authorizers = {ring().principal("Kw" + std::to_string(t))};
+      (void)store.query(q);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(store.credential_count(), 4u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Network under concurrent senders: per-endpoint MPSC queues, shared
 // routing reads, and relaxed-atomic statistics must stay exact when many
-// threads send at once (the worker-pool WebCom master's dispatch phase).
+// threads send at once (masters, clients and replicas sharing one bus).
 #include "net/network.hpp"
 
 #include <gtest/gtest.h>

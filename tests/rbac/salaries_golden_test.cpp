@@ -29,6 +29,14 @@ struct Fig1Case {
   bool expect;
 };
 
+// gtest prints a parameter into the listed test name. Without this it
+// dumps the struct's raw bytes — two string-literal addresses that ASLR
+// moves, and uninitialised padding — so the names would differ per build.
+void PrintTo(const Fig1Case& c, std::ostream* os) {
+  *os << c.user << ' ' << c.permission << ' '
+      << (c.expect ? "permit" : "deny");
+}
+
 class Figure1Matrix : public ::testing::TestWithParam<Fig1Case> {};
 
 TEST_P(Figure1Matrix, DecisionMatchesPaper) {

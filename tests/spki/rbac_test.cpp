@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "authz/stack.hpp"
 #include "rbac/fixtures.hpp"
 #include "spki/layer.hpp"
 
@@ -124,12 +125,12 @@ TEST(SpkiRbac, RedelegationCannotAmplify) {
 
 TEST(SpkiLayerTest, PlugsIntoTheFigure10Stack) {
   Rig rig(rbac::salaries_policy());
-  stack::StackedAuthorizer authorizer;
+  authz::Stack authorizer;
   authorizer.push(std::make_shared<SpkiLayer>(rig.store, rig.admin));
   EXPECT_EQ(authorizer.layer_names(),
             std::vector<std::string>{"L2-spki"});
 
-  stack::Request r;
+  authz::Request r;
   r.user = "Bob";
   r.principal = rig.directory.principal_of("Bob");
   r.object_type = "SalariesDB";

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "authz/keynote_authorizer.hpp"
+#include "authz/middleware_authorizer.hpp"
+#include "authz/stack.hpp"
 #include "middleware/corba/orb.hpp"
 #include "obs/trace.hpp"
 #include "rbac/fixtures.hpp"
@@ -11,6 +14,12 @@
 
 namespace mwsec::stack {
 namespace {
+
+using authz::Composition;
+using authz::Decision;
+using authz::KeyNoteAuthorizer;
+using authz::MiddlewareAuthorizer;
+using authz::Request;
 
 /// A full Figure 10 rig for the Salaries scenario: OS accounts, a CORBA
 /// ORB carrying the Figure 1 policy, and a KeyNote store compiled from it
@@ -23,7 +32,7 @@ crypto::KeyRing& rig_ring() {
 struct Rig {
   OsSecurity os;
   middleware::corba::Orb orb{"unixhost", "orb1"};
-  keynote::CredentialStore keynote_store;
+  keynote::CompiledStore keynote_store;
   translate::KeyRingDirectory directory{rig_ring()};
 
   Rig() {
@@ -75,11 +84,11 @@ void load_memberships(Rig& rig) {
   }
 }
 
-TEST(Stack, TrustLayerAloneReproducesFigure1) {
+TEST(Stack, KeyNoteLayerAloneReproducesFigure1) {
   Rig rig;
   load_memberships(rig);
-  StackedAuthorizer stack;
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  authz::Stack stack;
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   EXPECT_TRUE(stack.permitted(rig.request("Alice", "write", "Finance", "Clerk")));
   EXPECT_FALSE(stack.permitted(rig.request("Alice", "read", "Finance", "Clerk")));
@@ -90,7 +99,7 @@ TEST(Stack, TrustLayerAloneReproducesFigure1) {
 
 TEST(Stack, MiddlewareLayerAbstainsOnForeignObjects) {
   Rig rig;
-  MiddlewareLayer layer(rig.orb);
+  MiddlewareAuthorizer layer(rig.orb);
   Request r = rig.request("Bob", "read", "Finance", "Manager");
   EXPECT_EQ(layer.decide(r), Decision::kPermit);
   r.object_type = "UnknownDB";
@@ -115,10 +124,10 @@ TEST(Stack, OsLayerDeniesUnknownAccounts) {
 TEST(Stack, AllMustPermitComposition) {
   Rig rig;
   load_memberships(rig);
-  StackedAuthorizer stack(Composition::kAllMustPermit);
+  authz::Stack stack(Composition::kAllMustPermit);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   // Bob passes all three layers.
   EXPECT_TRUE(stack.permitted(rig.request("Bob", "read", "Finance", "Manager")));
@@ -132,10 +141,10 @@ TEST(Stack, PluggabilityDisableCorbasec) {
   // based only on KeyNote and the operating system".
   Rig rig;
   load_memberships(rig);
-  StackedAuthorizer stack(Composition::kAllMustPermit);
+  authz::Stack stack(Composition::kAllMustPermit);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   auto claire = rig.request("Claire", "read", "Sales", "Manager");
   EXPECT_FALSE(stack.permitted(claire));
@@ -151,10 +160,10 @@ TEST(Stack, PluggabilityDisableCorbasec) {
 TEST(Stack, FirstDecisiveTakesTopmostOpinion) {
   Rig rig;
   load_memberships(rig);
-  StackedAuthorizer stack(Composition::kFirstDecisive);
+  authz::Stack stack(Composition::kFirstDecisive);
   stack.push(std::make_shared<OsLayer>(rig.os));          // bottom
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));  // top
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));  // top
 
   // KeyNote (top) permits Claire; the ORB's deny is never consulted.
   EXPECT_TRUE(stack.permitted(rig.request("Claire", "read", "Sales", "Manager")));
@@ -164,9 +173,9 @@ TEST(Stack, FirstDecisiveTakesTopmostOpinion) {
 
 TEST(Stack, AnyPermitsComposition) {
   Rig rig;
-  StackedAuthorizer stack(Composition::kAnyPermits);
+  authz::Stack stack(Composition::kAnyPermits);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
   // TM layer absent entirely. Bob's OS grant suffices.
   EXPECT_TRUE(stack.permitted(rig.request("Bob", "read", "Finance", "Manager")));
   // Mallory is denied by the OS and the ORB.
@@ -175,10 +184,10 @@ TEST(Stack, AnyPermitsComposition) {
 
 TEST(Stack, EmptyOrAllAbstainingStackFailsClosed) {
   Rig rig;
-  StackedAuthorizer empty;
+  authz::Stack empty;
   EXPECT_FALSE(empty.permitted(rig.request("Bob", "read", "Finance", "Manager")));
 
-  StackedAuthorizer abstaining;
+  authz::Stack abstaining;
   abstaining.push(std::make_shared<ApplicationLayer>(
       [](const Request&) { return Decision::kAbstain; }));
   EXPECT_FALSE(
@@ -187,7 +196,7 @@ TEST(Stack, EmptyOrAllAbstainingStackFailsClosed) {
 
 TEST(Stack, ApplicationLayerHook) {
   Rig rig;
-  StackedAuthorizer stack;
+  authz::Stack stack;
   stack.push(std::make_shared<ApplicationLayer>([](const Request& r) {
     // Workflow rule: nobody writes salaries on behalf of themselves.
     return r.permission == "write" && r.user == "Alice" ? Decision::kDeny
@@ -201,9 +210,9 @@ TEST(Stack, PerLayerStatsAccumulate) {
   Rig rig;
   load_memberships(rig);
   middleware::AuditLog audit;
-  StackedAuthorizer stack(Composition::kAllMustPermit, &audit);
+  authz::Stack stack(Composition::kAllMustPermit, &audit);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   stack.permitted(rig.request("Bob", "read", "Finance", "Manager"));
   stack.permitted(rig.request("Mallory", "read", "Finance", "Manager"));
@@ -244,10 +253,10 @@ TEST(StackTrace, DeniedTraceNamesDenyingLayerAndConstraint) {
   load_memberships(rig);
   TracerGuard guard;
   middleware::AuditLog audit;
-  StackedAuthorizer stack(Composition::kAllMustPermit, &audit);
+  authz::Stack stack(Composition::kAllMustPermit, &audit);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   // Figure 1: Finance clerks write but do not read — KeyNote denies.
   EXPECT_FALSE(
@@ -289,16 +298,16 @@ TEST(StackTrace, MiddlewareDenialIsAttributedToItsLayer) {
   Rig rig;
   load_memberships(rig);
   TracerGuard guard;
-  StackedAuthorizer stack(Composition::kAllMustPermit);
-  stack.push(std::make_shared<MiddlewareLayer>(rig.orb));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  authz::Stack stack(Composition::kAllMustPermit);
+  stack.push(std::make_shared<MiddlewareAuthorizer>(rig.orb));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   // KeyNote permits Claire (Sales manager reads) but the ORB has no role
   // for her: the deny is the middleware layer's.
   EXPECT_FALSE(
       stack.permitted(rig.request("Claire", "read", "Sales", "Manager")));
-  const auto* decide =
-      find_last(obs::Tracer::global().records(), "stack.decide");
+  const auto records = obs::Tracer::global().records();
+  const auto* decide = find_last(records, "stack.decide");
   ASSERT_NE(decide, nullptr);
   ASSERT_NE(decide->attr(obs::kAttrDeniedBy), nullptr);
   EXPECT_EQ(*decide->attr(obs::kAttrDeniedBy), "L1-CORBA");
@@ -311,14 +320,14 @@ TEST(StackTrace, PermittedTraceCarriesNoDenyingLayer) {
   Rig rig;
   load_memberships(rig);
   TracerGuard guard;
-  StackedAuthorizer stack(Composition::kAllMustPermit);
+  authz::Stack stack(Composition::kAllMustPermit);
   stack.push(std::make_shared<OsLayer>(rig.os));
-  stack.push(std::make_shared<TrustLayer>(rig.keynote_store));
+  stack.push(std::make_shared<KeyNoteAuthorizer>(rig.keynote_store));
 
   EXPECT_TRUE(
       stack.permitted(rig.request("Bob", "read", "Finance", "Manager")));
-  const auto* decide =
-      find_last(obs::Tracer::global().records(), "stack.decide");
+  const auto records = obs::Tracer::global().records();
+  const auto* decide = find_last(records, "stack.decide");
   ASSERT_NE(decide, nullptr);
   ASSERT_NE(decide->attr(obs::kAttrDecision), nullptr);
   EXPECT_EQ(*decide->attr(obs::kAttrDecision), "permit");
@@ -328,13 +337,13 @@ TEST(StackTrace, PermittedTraceCarriesNoDenyingLayer) {
 TEST(StackTrace, AllAbstainFailClosedIsAttributedToTheStack) {
   Rig rig;
   TracerGuard guard;
-  StackedAuthorizer stack;
+  authz::Stack stack;
   stack.push(std::make_shared<ApplicationLayer>(
       [](const Request&) { return Decision::kAbstain; }));
   EXPECT_FALSE(
       stack.permitted(rig.request("Bob", "read", "Finance", "Manager")));
-  const auto* decide =
-      find_last(obs::Tracer::global().records(), "stack.decide");
+  const auto records = obs::Tracer::global().records();
+  const auto* decide = find_last(records, "stack.decide");
   ASSERT_NE(decide, nullptr);
   ASSERT_NE(decide->attr(obs::kAttrDeniedBy), nullptr);
   EXPECT_EQ(*decide->attr(obs::kAttrDeniedBy), "stack");

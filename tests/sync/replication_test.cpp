@@ -4,6 +4,8 @@
 // loss).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "authz/caching.hpp"
 #include "authz/keynote_authorizer.hpp"
 #include "net/network.hpp"
@@ -256,7 +258,14 @@ TEST(Replication, ManyReplicasAllConverge) {
   }
   EXPECT_EQ(authority.replica_count(), kReplicas);
 
-  // Converged: no replica lags.
+  // Converged: no replica lags. A replica acks after it applies, and the
+  // authority reads the ack on its own thread, so the lag reaches 0 a
+  // moment after the last wait_for_epoch returns.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (authority.replica_lag() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   EXPECT_EQ(authority.replica_lag(), 0u);
 }
 
@@ -273,6 +282,28 @@ TEST(Replication, NoOpMutationsPublishNothing) {
   ASSERT_TRUE(authority.publish_credential(delegation("KAdm", "KOnce")).ok());
   EXPECT_EQ(authority.revoke_by_licensee("rsa-hex:00"), 0u);
   EXPECT_EQ(authority.stats().deltas_published, once);
+}
+
+TEST(Replication, PolicyOfferedAsCredentialIsRefusedAndNotPublished) {
+  // An unsigned `Authorizer: POLICY` passes signature verification by fiat;
+  // published as a credential it would reach every replica as a trust
+  // root. The authority refuses it and publishes nothing.
+  net::Network net;
+  keynote::CompiledStore authority_store;
+  Authority authority(net, "auth", authority_store, fast_authority());
+  ASSERT_TRUE(authority.start().ok());
+  ASSERT_TRUE(authority.publish_credential(delegation("KAdm", "KOnce")).ok());
+  const auto published = authority.stats().deltas_published;
+  const auto epoch = authority.epoch();
+
+  auto forged =
+      keynote::Assertion::parse(trust_policy(ring().principal("KForger")));
+  ASSERT_TRUE(forged.ok());
+  EXPECT_FALSE(authority.publish_credential(std::move(forged).take()).ok());
+  EXPECT_EQ(authority.stats().deltas_published, published);
+  EXPECT_EQ(authority.epoch(), epoch);
+  EXPECT_EQ(authority_store.policy_count(), 0u);
+  EXPECT_EQ(authority_store.credential_count(), 1u);
 }
 
 }  // namespace

@@ -102,6 +102,32 @@ Graph arithmetic_graph() {
   return g;
 }
 
+/// A wide workload: `width` independent "add" leaves feeding one "add"
+/// chain so the exit depends on everything (2 * width - 1 tasks).
+Graph wide_graph(std::size_t width, bool secure) {
+  Graph g;
+  SecurityTarget t;
+  t.object_type = "Calc";
+  t.permission = "add";
+  NodeId acc = g.add_node("n0", "add", 2);
+  g.set_literal(acc, 0, "1").ok();
+  g.set_literal(acc, 1, "0").ok();
+  if (secure) g.set_target(acc, t).ok();
+  for (std::size_t i = 1; i < width; ++i) {
+    NodeId leaf = g.add_node("leaf" + std::to_string(i), "add", 2);
+    g.set_literal(leaf, 0, "1").ok();
+    g.set_literal(leaf, 1, "0").ok();
+    if (secure) g.set_target(leaf, t).ok();
+    NodeId next = g.add_node("n" + std::to_string(i), "add", 2);
+    if (secure) g.set_target(next, t).ok();
+    g.connect(acc, next, 0).ok();
+    g.connect(leaf, next, 1).ok();
+    acc = next;
+  }
+  g.set_exit(acc).ok();
+  return g;
+}
+
 TEST(Scheduler, InsecureDistributedExecution) {
   auto rig = make_rig(2, /*security=*/false);
   auto v = rig->m().execute(arithmetic_graph());
@@ -291,6 +317,45 @@ TEST(Scheduler, AttachRejectsBadCredential) {
   EXPECT_FALSE(rig->m().attach_client(info).ok());
 }
 
+TEST(Scheduler, AttachRefusesPolicyPresentedAsCredential) {
+  // A client whose credentials hold a self-issued, unsigned
+  // `Authorizer: POLICY` naming itself must not become its own trust root
+  // in the master's store.
+  auto rig = make_rig(0);
+  const auto& cid = ring().identity("Kself-rooted");
+  ClientOptions copts;
+  copts.domain = "Finance";
+  copts.role = "Manager";
+  copts.user = "u";
+  Client client(rig->network, "cself", cid, OperationRegistry::with_builtins(),
+                copts);
+  ASSERT_TRUE(client.store()
+                  .add_policy_text(
+                      trust_everything(ring().principal("KMaster")))
+                  .ok());
+  ASSERT_TRUE(client.start().ok());
+
+  ClientInfo info{"cself", cid.principal(), {}, "Finance", "Manager", "u"};
+  info.credentials.push_back(
+      keynote::Assertion::parse(trust_everything(cid.principal())).take());
+  const auto version = rig->m().store().version();
+  EXPECT_FALSE(rig->m().attach_client(info).ok());
+  EXPECT_EQ(rig->m().client_count(), 0u);
+  EXPECT_EQ(rig->m().store().policy_count(), 0u);
+  EXPECT_EQ(rig->m().store().credential_count(), 0u);
+  EXPECT_EQ(rig->m().store().version(), version);
+
+  // Attached without the forged root, nothing in the master's store
+  // trusts the client: secure work is still refused before dispatch.
+  info.credentials.clear();
+  ASSERT_TRUE(rig->m().attach_client(info).ok());
+  auto v = rig->m().execute(wide_graph(1, /*secure=*/true));
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.error().code, "denied");
+  EXPECT_EQ(rig->m().stats().tasks_dispatched, 0u);
+  EXPECT_EQ(client.stats().tasks_executed, 0u);
+}
+
 TEST(Scheduler, CondensedNodesAreFlattenedTransparently) {
   auto rig = make_rig(1, /*security=*/false);
   // sub: upper(concat(x, "!")) with one entry port.
@@ -335,6 +400,40 @@ TEST(Scheduler, WideGraphUsesMultipleClients) {
   ASSERT_TRUE(v.ok()) << v.error().message;
   EXPECT_EQ(*v, "576");  // 9 * 64 hex chars
   EXPECT_EQ(rig->m().stats().tasks_completed, 11u);
+}
+
+TEST(Scheduler, WideSecureGraphCountsEveryTask) {
+  constexpr std::size_t kWidth = 16;
+  auto rig = make_rig(4);
+  auto v = rig->m().execute(wide_graph(kWidth, /*secure=*/true));
+  ASSERT_TRUE(v.ok()) << v.error().message;
+  EXPECT_EQ(*v, std::to_string(kWidth));
+  const auto st = rig->m().stats();
+  EXPECT_EQ(st.tasks_completed, 2 * kWidth - 1);
+  EXPECT_EQ(st.tasks_denied_by_master, 0u);
+  EXPECT_EQ(st.tasks_denied_by_client, 0u);
+  EXPECT_GT(st.keynote_queries, 0u);
+}
+
+TEST(Scheduler, InsecureRunMakesNoKeyNoteQueries) {
+  auto rig = make_rig(4, /*security=*/false);
+  auto v = rig->m().execute(wide_graph(12, /*secure=*/false));
+  ASSERT_TRUE(v.ok()) << v.error().message;
+  EXPECT_EQ(rig->m().stats().keynote_queries, 0u);
+  EXPECT_EQ(rig->m().stats().tasks_completed, 23u);
+}
+
+TEST(Scheduler, RepeatedExecutionsReuseTheDecisionCache) {
+  auto rig = make_rig(4);
+  const Graph g = wide_graph(8, /*secure=*/true);
+  auto first = rig->m().execute(g);
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  const auto queries_after_first = rig->m().stats().keynote_queries;
+  auto second = rig->m().execute(g);
+  ASSERT_TRUE(second.ok()) << second.error().message;
+  // Same store epoch, same requests: the second run is all cache hits.
+  EXPECT_EQ(rig->m().stats().keynote_queries, queries_after_first);
+  EXPECT_GT(rig->m().stats().decision_cache_hits, 0u);
 }
 
 }  // namespace

@@ -80,21 +80,6 @@ def run_binary(path: pathlib.Path, min_time: float, bench_filter: str,
         return None
 
 
-def normalize_threads(entries: list) -> None:
-    """Promote a "workers" counter into each entry's "threads" field.
-
-    Worker-pool benchmarks (BM_Fig3_SecureSchedulingThreaded,
-    BM_AuthzCache_PooledBatch) sweep an internal pool size rather than
-    Google Benchmark's --threads, so the built-in "threads" field stays 1;
-    the pool size is reported as the counter "workers" (the "threads"
-    counter name is reserved by the JSON schema). Copy it across so every
-    entry carries its concurrency in the same place."""
-    for entry in entries:
-        workers = entry.get("workers")
-        if isinstance(workers, (int, float)) and workers > 0:
-            entry["threads"] = int(workers)
-
-
 def load_metrics_snapshots(path: pathlib.Path, require: bool) -> dict:
     """Parse an append_snapshot_jsonl file into {label: snapshot}.
 
@@ -265,11 +250,9 @@ def main() -> int:
                                 metrics_out)
             if result is None:
                 return 1
-            results = result.get("benchmarks", [])
-            normalize_threads(results)
             report["benchmarks"][pathlib.Path(rel).name] = {
                 "context": result.get("context", {}),
-                "results": results,
+                "results": result.get("benchmarks", []),
             }
         # A filtered run may legitimately skip every Observed benchmark;
         # a full run that produced no snapshots lost data somewhere.

@@ -33,6 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "authz/keynote_authorizer.hpp"
+#include "authz/middleware_authorizer.hpp"
+#include "authz/stack.hpp"
 #include "net/network.hpp"
 #include "middleware/common/audit.hpp"
 #include "middleware/corba/orb.hpp"
@@ -75,7 +78,7 @@ void run_demo(middleware::AuditLog& audit) {
   orb.add_user_to_role("Alice", "Clerk").ok();
   orb.add_user_to_role("Bob", "Manager").ok();
 
-  keynote::CredentialStore store;
+  keynote::CompiledStore store;
   translate::KeyRingDirectory directory(ring);
   auto compiled = translate::compile_policy_signed(
                       rbac::salaries_policy(), ring.identity("KWebCom"),
@@ -86,15 +89,14 @@ void run_demo(middleware::AuditLog& audit) {
     store.add_credential(cred).ok();
   }
 
-  stack::StackedAuthorizer authorizer(stack::Composition::kAllMustPermit,
-                                      &audit);
+  authz::Stack authorizer(authz::Composition::kAllMustPermit, &audit);
   authorizer.push(std::make_shared<stack::OsLayer>(os));
-  authorizer.push(std::make_shared<stack::MiddlewareLayer>(orb));
-  authorizer.push(std::make_shared<stack::TrustLayer>(store));
+  authorizer.push(std::make_shared<authz::MiddlewareAuthorizer>(orb));
+  authorizer.push(std::make_shared<authz::KeyNoteAuthorizer>(store));
 
   auto request = [&](const std::string& user, const std::string& perm,
                      const std::string& domain, const std::string& role) {
-    stack::Request r;
+    authz::Request r;
     r.user = user;
     r.principal = directory.principal_of(user);
     r.object_type = "SalariesDB";

@@ -80,13 +80,5 @@ class SummarizeLoadRunTest(unittest.TestCase):
         self.assertEqual(s["oracle_violations"], 3)
 
 
-class NormalizeThreadsTest(unittest.TestCase):
-    def test_workers_counter_promoted(self):
-        entries = [{"workers": 4.0, "threads": 1}, {"threads": 1}]
-        bench_report.normalize_threads(entries)
-        self.assertEqual(entries[0]["threads"], 4)
-        self.assertEqual(entries[1]["threads"], 1)
-
-
 if __name__ == "__main__":
     unittest.main()
