@@ -7,8 +7,8 @@
 //   Miss         — cold cache over distinct requests, i.e. the backend
 //                  KeyNote query plus the insert;
 //   Invalidation — the store's version is bumped every iteration, so
-//                  each decide pays the epoch-sync shard flush and a
-//                  fresh backend query.
+//                  each decide pays the epoch-sync shard flush, the
+//                  snapshot rebuild and a fresh backend query.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -83,7 +83,7 @@ void BM_AuthzCache_HitConcurrent(benchmark::State& state) {
   struct Fixture {
     keynote::CompiledStore store;
     authz::KeyNoteAuthorizer backend{store};
-    authz::CachingAuthorizer cache{backend, {.shards = 16}};
+    authz::CachingAuthorizer cache{backend};
     Fixture() {
       for (int i = 0; i < 16; ++i) {
         store
@@ -110,29 +110,28 @@ void BM_AuthzCache_InvalidationOnVersionBump(benchmark::State& state) {
   authz::KeyNoteAuthorizer backend(store);
   authz::CachingAuthorizer cache(backend);
   auto request = request_for(0);
+  const auto other = keynote::AssertionBuilder()
+                         .authorizer("\"kissuer\"")
+                         .licensees("\"kother\"")
+                         .conditions("app_domain == \"WebCom\";")
+                         .build()
+                         .take();
+  const std::string other_text = other.to_text();
   for (auto _ : state) {
     // Any store mutation bumps the version; the next decide observes the
-    // moved epoch, flushes its shard and re-queries. Add-then-remove
-    // keeps the store itself at constant size across iterations.
+    // moved epoch, flushes its shard, rebuilds the snapshot and
+    // re-queries. Add-then-remove keeps the store at constant size across
+    // iterations.
     state.PauseTiming();
-    store
-        .add_policy_text(
-            "Authorizer: POLICY\n"
-            "Licensees: \"kother\"\n"
-            "Conditions: app_domain == \"WebCom\";\n")
-        .ok();
-    store.remove_by_authorizer("POLICY");
-    store
-        .add_policy_text(
-            "Authorizer: POLICY\n"
-            "Licensees: \"kclient\"\n"
-            "Conditions: app_domain == \"WebCom\";\n")
-        .ok();
+    store.add_credential(other, /*verify_signature=*/false).ok();
+    store.remove_matching(other_text);
     state.ResumeTiming();
     benchmark::DoNotOptimize(cache.decide(request));
   }
   state.counters["invalidations"] =
       benchmark::Counter(static_cast<double>(cache.stats().invalidations));
+  state.counters["assertions"] = benchmark::Counter(
+      static_cast<double>(store.policy_count() + store.credential_count()));
 }
 BENCHMARK(BM_AuthzCache_InvalidationOnVersionBump);
 

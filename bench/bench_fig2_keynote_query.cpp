@@ -3,21 +3,17 @@
 // then with the credential store swept from 1 to 1000 assertions to show
 // how decision latency scales with policy size.
 //
-// The store sweep exists in four flavours:
+// The store sweep exists in three flavours:
 //   QueryVsStoreSize           — a prebuilt CompiledStore, the deployment
-//                                path (compile once, query many);
-//   QueryVsStoreSizeUncached   — same prebuilt store, but every query
-//                                bypasses the conditions memo: the cold
-//                                path a fresh snapshot pays. With the
+//                                path (compile once, query many). With the
 //                                inverted assertion index this should be
 //                                near-flat in store size;
 //   QueryVsStoreSizeReference  — evaluate_reference(), the map-based
 //                                Kleene interpreter, as the baseline;
 //   RepeatedQueries            — one store, many queries varying only
-//                                (Domain, Role), showing the conditions
-//                                memo amortising per-query cost.
+//                                (Domain, Role): the scheduler's shape.
 // RevocationStorm measures the worst case the index exists for: a version
-// bump invalidates everything and N principals re-query cold.
+// bump invalidates the snapshot and N principals re-query a fresh one.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -95,25 +91,6 @@ void BM_Fig2_QueryVsStoreSize(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig2_QueryVsStoreSize)->RangeMultiplier(10)->Range(1, 10000);
 
-void BM_Fig2_QueryVsStoreSizeUncached(benchmark::State& state) {
-  // The cold path: same prebuilt snapshot, but the conditions memo is
-  // bypassed so every touched program is evaluated from bytecode. The
-  // requester-seeded worklist only visits its own delegation
-  // neighbourhood, so this stays near-flat as the store grows.
-  const int n = static_cast<int>(state.range(0));
-  keynote::CompiledStore store;
-  for (auto& p : sweep_policies(n)) store.add_policy(std::move(p)).ok();
-  auto snapshot = store.snapshot();
-  keynote::Query q = sweep_query(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(snapshot->query_uncached(q));
-  }
-  state.counters["assertions"] = n;
-}
-BENCHMARK(BM_Fig2_QueryVsStoreSizeUncached)
-    ->RangeMultiplier(10)
-    ->Range(1, 10000);
-
 void BM_Fig2_QueryVsStoreSizeReference(benchmark::State& state) {
   // Baseline: the reference interpreter re-walks string-keyed maps and
   // evaluates every Conditions program on every call.
@@ -130,12 +107,12 @@ BENCHMARK(BM_Fig2_QueryVsStoreSizeReference)
     ->Range(1, 1000);
 
 void BM_Fig2_RevocationStorm(benchmark::State& state) {
-  // A revocation epoch: the store version moves, every snapshot (and with
-  // it the conditions memo) is invalidated, and all N principals re-query
-  // cold at once. Each credential carries a per-principal guard
-  // (user == "u<i>"), so a cold query's candidate set is the policy plus
-  // one credential regardless of N — per-principal cost should track the
-  // candidate-set reduction, not the store size.
+  // A revocation epoch: the store version moves, the published snapshot
+  // is rebuilt, and all N principals re-query it at once. Each credential
+  // carries a per-principal guard (user == "u<i>"), so a cold query's
+  // candidate set is the policy plus one credential regardless of N —
+  // per-principal cost should track the candidate-set reduction, not the
+  // store size.
   const int n = static_cast<int>(state.range(0));
   keynote::CompiledStore store;
   store
@@ -170,7 +147,7 @@ void BM_Fig2_RevocationStorm(benchmark::State& state) {
   }
   for (auto _ : state) {
     store.advance_version_to(store.version() + 1);
-    auto snapshot = store.snapshot();  // rebuilt: memo starts cold
+    auto snapshot = store.snapshot();  // rebuilt for the new version
     for (const auto& q : queries) {
       benchmark::DoNotOptimize(snapshot->query(q));
     }
@@ -185,9 +162,9 @@ BENCHMARK(BM_Fig2_RevocationStorm)->RangeMultiplier(10)->Range(100, 10000);
 
 void BM_Fig2_RepeatedQueries(benchmark::State& state) {
   // One compiled store, 1000 queries per iteration cycling through a few
-  // (Domain, Role) pairs — the scheduler's workload shape. The conditions
-  // memo pays evaluation once per distinct environment, so the amortised
-  // per-query cost drops well below a cold query.
+  // (Domain, Role) pairs — the scheduler's workload shape. Repeats are
+  // cached as verdicts by authz::CachingAuthorizer, not here: every query
+  // runs its fixpoint.
   const int kStore = 256;
   keynote::CompiledStore store;
   for (int i = 0; i < kStore; ++i) {
@@ -206,8 +183,8 @@ void BM_Fig2_RepeatedQueries(benchmark::State& state) {
   std::vector<keynote::Query> queries;
   for (int i = 0; i < 12; ++i) {
     // Environment matching the target policy's conditions, so the query
-    // exercises conditions evaluation (and its memo) rather than being
-    // rejected by the guard index before any program runs.
+    // exercises conditions evaluation rather than being rejected by the
+    // guard index before any program runs.
     const int p = kStore - 1 - i;
     keynote::Query q;
     q.action_authorizers = {"K" + std::to_string(p)};
@@ -227,7 +204,7 @@ BENCHMARK(BM_Fig2_RepeatedQueries);
 void BM_Fig2_ObservedRepeatedQueries(benchmark::State& state) {
   // NOT a latency figure (metrics are ON inside the loop; compare
   // RepeatedQueries for timing). Runs the scheduler-shaped workload
-  // instrumented, reports the conditions-memo hit rate as a counter, and
+  // instrumented, reports fixpoint steps per query as a counter, and
   // appends the full registry snapshot to $MWSEC_METRICS_OUT as one
   // JSONL line labelled "fig2" for tools/bench_report.py to merge.
   const int kStore = 256;
@@ -248,8 +225,8 @@ void BM_Fig2_ObservedRepeatedQueries(benchmark::State& state) {
   std::vector<keynote::Query> queries;
   for (int i = 0; i < 12; ++i) {
     // Environment matching the target policy's conditions, so the query
-    // exercises conditions evaluation (and its memo) rather than being
-    // rejected by the guard index before any program runs.
+    // exercises conditions evaluation rather than being rejected by the
+    // guard index before any program runs.
     const int p = kStore - 1 - i;
     keynote::Query q;
     q.action_authorizers = {"K" + std::to_string(p)};
@@ -267,10 +244,14 @@ void BM_Fig2_ObservedRepeatedQueries(benchmark::State& state) {
   obs::set_metrics_enabled(false);
   auto metrics = obs::Registry::global().snapshot();
   state.SetItemsProcessed(state.iterations() * 1000);
-  state.counters["memo_hit_rate"] = metrics.hit_rate(
-      "keynote.conditions_memo_hits", "keynote.conditions_memo_misses");
-  state.counters["kn_queries"] =
-      static_cast<double>(metrics.counter_or_zero("keynote.queries"));
+  const auto kn_queries = metrics.counter_or_zero("keynote.queries");
+  state.counters["fixpoint_steps_per_query"] =
+      kn_queries == 0
+          ? 0.0
+          : static_cast<double>(
+                metrics.counter_or_zero("keynote.fixpoint_steps")) /
+                static_cast<double>(kn_queries);
+  state.counters["kn_queries"] = static_cast<double>(kn_queries);
   if (const char* out = std::getenv("MWSEC_METRICS_OUT")) {
     obs::append_snapshot_jsonl(out, "fig2", metrics);
   }

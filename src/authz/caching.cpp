@@ -10,12 +10,6 @@ namespace mwsec::authz {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
 
 /// One process-wide decide-latency histogram across every decision
@@ -36,14 +30,10 @@ CachingAuthorizer::CachingAuthorizer(const Authorizer& inner)
 CachingAuthorizer::CachingAuthorizer(const Authorizer& inner, Options options)
     : inner_(inner),
       metric_prefix_(options.metric_prefix),
-      shard_mask_(round_up_pow2(options.shards == 0 ? 1 : options.shards) - 1),
-      shards_(new Shard[shard_mask_ + 1]),
       obs_hits_(
           obs::Registry::global().counter(options.metric_prefix + "_hits")),
       obs_misses_(
-          obs::Registry::global().counter(options.metric_prefix + "_misses")) {
-  for (std::size_t i = 0; i <= shard_mask_; ++i) shards_[i].epoch = kNoEpoch;
-}
+          obs::Registry::global().counter(options.metric_prefix + "_misses")) {}
 
 std::string CachingAuthorizer::cache_key(const Request& request) {
   // One allocation: the identity fields joined on a separator that cannot
@@ -72,15 +62,12 @@ std::string CachingAuthorizer::cache_key(const Request& request) {
   return key;
 }
 
-std::size_t CachingAuthorizer::shard_index(const Request& request) const {
-  // Principal hash, not full-key hash: one principal's decisions live in
-  // one shard, so shards partition the principal space.
-  return std::hash<std::string>{}(request.principal) & shard_mask_;
-}
-
 CachingAuthorizer::Shard& CachingAuthorizer::shard_for(
     const Request& request) const {
-  return shards_[shard_index(request)];
+  // Principal hash, not full-key hash: one principal's decisions live in
+  // one shard, so shards partition the principal space.
+  static_assert((kShards & (kShards - 1)) == 0);
+  return shards_[std::hash<std::string>{}(request.principal) & (kShards - 1)];
 }
 
 void CachingAuthorizer::set_epoch_provenance(
@@ -162,11 +149,11 @@ Verdict CachingAuthorizer::decide_impl(const Request& request) const {
 
 void CachingAuthorizer::invalidate() {
   bool dropped = false;
-  for (std::size_t i = 0; i <= shard_mask_; ++i) {
-    std::scoped_lock lock(shards_[i].mu);
-    dropped = dropped || !shards_[i].entries.empty();
-    shards_[i].entries.clear();
-    shards_[i].epoch = kNoEpoch;
+  for (Shard& shard : shards_) {
+    std::scoped_lock lock(shard.mu);
+    dropped = dropped || !shard.entries.empty();
+    shard.entries.clear();
+    shard.epoch = kNoEpoch;
   }
   if (dropped) invalidations_.fetch_add(1, kRelaxed);
 }
@@ -178,9 +165,9 @@ CachingAuthorizer::Stats CachingAuthorizer::stats() const {
 
 std::size_t CachingAuthorizer::size() const {
   std::size_t n = 0;
-  for (std::size_t i = 0; i <= shard_mask_; ++i) {
-    std::scoped_lock lock(shards_[i].mu);
-    n += shards_[i].entries.size();
+  for (Shard& shard : shards_) {
+    std::scoped_lock lock(shard.mu);
+    n += shard.entries.size();
   }
   return n;
 }

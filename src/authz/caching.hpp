@@ -12,8 +12,8 @@
 // way). Requests presenting credentials are not pure functions of their
 // fields and bypass the cache.
 //
-// Each shard has its own mutex, so concurrent callers contend only when
-// their principals share a shard.
+// Each of the `kShards` shards has its own mutex, so concurrent callers
+// contend only when their principals share a shard.
 //
 // Statistics are kept in always-on relaxed atomics (`stats()`), separate
 // from the obs registry counters (`<metric_prefix>_hits` / `_misses`),
@@ -21,10 +21,10 @@
 // derive their counters from the cache rather than double-counting.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -37,9 +37,10 @@ namespace mwsec::authz {
 
 class CachingAuthorizer final : public Authorizer {
  public:
+  /// A power of two: shards are picked by masking the principal hash.
+  static constexpr std::size_t kShards = 8;
+
   struct Options {
-    /// Rounded up to a power of two.
-    std::size_t shards = 8;
     /// Registry counters are published as "<prefix>_hits"/"<prefix>_misses".
     std::string metric_prefix = "authz.cache";
   };
@@ -82,18 +83,14 @@ class CachingAuthorizer final : public Authorizer {
   /// Cached entries across all shards (test/diagnostic use).
   std::size_t size() const;
 
-  std::size_t shard_count() const { return shard_mask_ + 1; }
-  /// The shard `request`'s principal maps to.
-  std::size_t shard_index(const Request& request) const;
-
  private:
+  static constexpr std::uint64_t kNoEpoch = ~0ull;
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unordered_map<std::string, Verdict> entries;
     /// Epoch the entries were computed under; kNoEpoch = not yet synced.
-    std::uint64_t epoch;
+    std::uint64_t epoch = kNoEpoch;
   };
-  static constexpr std::uint64_t kNoEpoch = ~0ull;
 
   static std::string cache_key(const Request& request);
   Shard& shard_for(const Request& request) const;
@@ -102,8 +99,7 @@ class CachingAuthorizer final : public Authorizer {
   const Authorizer& inner_;
   std::string metric_prefix_;
   std::function<obs::TraceContext()> provenance_;
-  std::size_t shard_mask_;
-  std::unique_ptr<Shard[]> shards_;
+  mutable std::array<Shard, kShards> shards_;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> bypasses_{0};

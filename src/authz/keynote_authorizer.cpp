@@ -2,48 +2,34 @@
 
 namespace mwsec::authz {
 
-mwsec::Result<keynote::QueryResult> KeyNoteAuthorizer::run(
+keynote::CompiledStore::StoreHandle KeyNoteAuthorizer::handle_for(
     const Request& request) const {
-  auto q = fig5_query(request);
-  if (store_ != nullptr) return store_->query(q, request.credentials);
-  return snapshot_->query(q);
+  if (store_ == nullptr) return fixed_;
+  return store_->snapshot_with(request.credentials);
 }
 
 Verdict KeyNoteAuthorizer::decide(const Request& request) const {
-  // Live-store, no-presented-credentials path: acquire one RCU handle so
-  // the verdict's epoch is exactly the version of the snapshot it was
-  // computed from. (Reading epoch() and querying separately would let a
-  // concurrent mutation slip between the two, labelling a new-store
-  // verdict with the old epoch — the coherence the caching layer and the
-  // concurrency stress tests depend on.)
-  if (store_ != nullptr && request.credentials.empty()) {
-    auto handle = store_->acquire();
-    auto q = fig5_query(request);
-    auto r = handle.snapshot->query(q);
-    if (!r.ok()) {
-      Verdict v = Verdict::deny(name_, handle.version);
-      v.explanation = "query failed: " + r.error().message;
-      return v;
-    }
-    return r->authorized() ? Verdict::permit(name_, handle.version)
-                           : Verdict::deny(name_, handle.version);
-  }
-  const std::uint64_t at = epoch();
-  auto r = run(request);
+  // The verdict's epoch is the version of the snapshot it was computed
+  // from, never a separate read of the store's version: a mutation landing
+  // between two reads would label a verdict with an epoch whose store it
+  // was not computed from — the coherence the caching layer and the
+  // concurrency stress tests depend on.
+  const auto handle = handle_for(request);
+  auto r = handle.snapshot->query(fig5_query(request));
   if (!r.ok()) {
-    Verdict v = Verdict::deny(name_, at);
+    Verdict v = Verdict::deny(name_, handle.version);
     v.explanation = "query failed: " + r.error().message;
     return v;
   }
-  return r->authorized() ? Verdict::permit(name_, at)
-                         : Verdict::deny(name_, at);
+  return r->authorized() ? Verdict::permit(name_, handle.version)
+                         : Verdict::deny(name_, handle.version);
 }
 
 std::string KeyNoteAuthorizer::explain(const Request& request,
                                        const Verdict& verdict) const {
   // Re-evaluate to recover the compliance value and any dropped
   // credentials; explain() runs on the trace/audit path only.
-  auto r = run(request);
+  auto r = handle_for(request).snapshot->query(fig5_query(request));
   if (!r.ok()) {
     return "query failed: " + r.error().message;
   }

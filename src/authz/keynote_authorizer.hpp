@@ -1,18 +1,19 @@
 // KeyNote trust management as an `authz::Authorizer` (Figure 10, L2).
 //
-// Two modes share one decision path:
+// Two modes share one decision path: pick a `CompiledStore::StoreHandle`,
+// query its snapshot, and label the verdict with the handle's version.
 //
-//   live store   — decisions run against a `keynote::CompiledStore`; the
-//     store's version() is the verdict epoch, so a `CachingAuthorizer` in
-//     front invalidates exactly when the credential set changes. Requests
-//     carrying presented credentials are compiled into a one-shot snapshot
-//     by the store (and bypass caches, see authz.hpp).
-//   fixed snapshot — decisions run against one immutable
-//     `CompiledStore::Snapshot`, e.g. KeyCOM authorising every row of an
-//     update request against the same store-plus-presented-bundle view.
+//   live store   — the handle is `store.snapshot_with(request credentials)`:
+//     the published snapshot when nothing is presented, else a one-shot
+//     snapshot of the store plus the presented credentials (such requests
+//     bypass caches, see authz.hpp). Either way the verdict epoch is the
+//     version the snapshot was compiled from, so a `CachingAuthorizer` in
+//     front invalidates exactly when the credential set changes.
+//   fixed handle — decisions run against one immutable handle, e.g. KeyCOM
+//     authorising every row of an update request against the same
+//     store-plus-presented-bundle view.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "authz/authz.hpp"
@@ -27,19 +28,16 @@ class KeyNoteAuthorizer final : public Authorizer {
                              std::string name = "L2-keynote")
       : store_(&store), name_(std::move(name)) {}
 
-  /// Fixed-snapshot mode. `epoch` is the source store's version at the
-  /// time the snapshot was taken. Request credentials are ignored — a
-  /// snapshot's assertion set is closed (bake presented credentials in
-  /// via CompiledStore::snapshot_with).
-  KeyNoteAuthorizer(std::shared_ptr<const keynote::CompiledStore::Snapshot>
-                        snapshot,
-                    std::uint64_t epoch, std::string name = "L2-keynote")
-      : snapshot_(std::move(snapshot)), fixed_epoch_(epoch),
-        name_(std::move(name)) {}
+  /// Fixed-handle mode, e.g. over `CompiledStore::snapshot_with`. Request
+  /// credentials are ignored — a snapshot's assertion set is closed (bake
+  /// presented credentials in when taking the handle).
+  KeyNoteAuthorizer(keynote::CompiledStore::StoreHandle handle,
+                    std::string name = "L2-keynote")
+      : fixed_(std::move(handle)), name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
   std::uint64_t epoch() const override {
-    return store_ != nullptr ? store_->version() : fixed_epoch_;
+    return store_ != nullptr ? store_->version() : fixed_.version;
   }
 
   /// Permit on _MAX_TRUST, deny otherwise (including query errors). Never
@@ -50,11 +48,11 @@ class KeyNoteAuthorizer final : public Authorizer {
                       const Verdict& verdict) const override;
 
  private:
-  mwsec::Result<keynote::QueryResult> run(const Request& request) const;
+  /// The handle `request` is decided against.
+  keynote::CompiledStore::StoreHandle handle_for(const Request& request) const;
 
   const keynote::CompiledStore* store_ = nullptr;
-  std::shared_ptr<const keynote::CompiledStore::Snapshot> snapshot_;
-  std::uint64_t fixed_epoch_ = 0;
+  keynote::CompiledStore::StoreHandle fixed_;
   std::string name_;
 };
 

@@ -195,10 +195,11 @@ mwsec::Result<UpdateReport> Service::apply(const UpdateRequest& request) {
   }
   // Verify and compile the presented bundle once; every row of this
   // request is then authorised against the same snapshot, through a
-  // fixed-snapshot KeyNote authoriser — the same Verdict type every other
-  // decision surface produces.
+  // fixed-handle KeyNote authoriser — the same Verdict type every other
+  // decision surface produces, labelled with the version the snapshot was
+  // compiled from.
   authz::KeyNoteAuthorizer row_authz(store_.snapshot_with(presented),
-                                     store_.version(), "keycom-delegation");
+                                     "keycom-delegation");
 
   UpdateReport report;
   rbac::Policy additions;

@@ -19,9 +19,6 @@ namespace {
 struct EngineMetrics {
   obs::Counter& queries;
   obs::Histogram& query_us;
-  obs::Counter& memo_hits;
-  obs::Counter& memo_misses;
-  obs::Counter& memo_collisions;
   obs::Counter& fixpoint_steps;
   obs::Counter& snapshot_rebuilds;
   obs::Counter& snapshot_with_builds;
@@ -40,9 +37,6 @@ struct EngineMetrics {
     static EngineMetrics m{
         r.counter("keynote.queries"),
         r.histogram("keynote.query_us"),
-        r.counter("keynote.conditions_memo_hits"),
-        r.counter("keynote.conditions_memo_misses"),
-        r.counter("keynote.conditions_memo_collisions"),
         r.counter("keynote.fixpoint_steps"),
         r.counter("keynote.snapshot_rebuilds"),
         r.counter("keynote.snapshot_with_builds"),
@@ -161,38 +155,6 @@ std::optional<std::uint32_t> PrincipalTable::find(std::string_view name) const {
 }
 
 // ---------------------------------------------------------------------------
-// ConditionsCache
-
-std::optional<std::size_t> ConditionsCache::get(std::size_t program,
-                                                std::uint64_t fingerprint,
-                                                std::uint64_t verifier) const {
-  std::scoped_lock lock(mu_);
-  const auto& memo = memo_[program];
-  auto it = memo.find(fingerprint);
-  if (it == memo.end()) return std::nullopt;
-  if (it->second.verifier != verifier) {
-    // Two distinct environments share a fingerprint: detected, counted,
-    // and treated as a miss (the colliding entry is left in place — the
-    // older environment keeps its hit).
-    ++collisions_;
-    EngineMetrics::get().memo_collisions.inc();
-    return std::nullopt;
-  }
-  return it->second.value;
-}
-
-void ConditionsCache::put(std::size_t program, std::uint64_t fingerprint,
-                          std::uint64_t verifier, std::size_t value) {
-  std::scoped_lock lock(mu_);
-  memo_[program].emplace(fingerprint, Entry{verifier, value});
-}
-
-std::uint64_t ConditionsCache::collisions() const {
-  std::scoped_lock lock(mu_);
-  return collisions_;
-}
-
-// ---------------------------------------------------------------------------
 // CompiledIndex
 
 void CompiledIndex::add(const Assertion& assertion) {
@@ -205,7 +167,7 @@ void CompiledIndex::add(const Assertion& assertion) {
 
   // Deduplicate programs: assertions sharing conditions text and local
   // constants (the fig2 sweep, translated RBAC credentials...) share one
-  // bytecode program, one memo row, one compile.
+  // bytecode program, one compile, one evaluation per query.
   std::string key = assertion.conditions_text();
   for (const auto& [name, val] : assertion.local_constants()) {
     key += '\x01';
@@ -314,22 +276,6 @@ void CompiledIndex::resolve_attrs(
   }
 }
 
-void CompiledIndex::candidate_mask(
-    const std::vector<std::string_view>& attr_values,
-    std::vector<char>& mask) const {
-  if (all_candidates_) {
-    mask.clear();  // empty mask = everything is a candidate
-    return;
-  }
-  mask.assign(assertions_.size(), 0);
-  for (std::uint32_t i : unguarded_) mask[i] = 1;
-  for (const auto& g : guards_) {
-    auto it = g.by_value.find(attr_values[g.slot]);
-    if (it == g.by_value.end()) continue;
-    for (std::uint32_t i : it->second) mask[i] = 1;
-  }
-}
-
 bool CompiledIndex::candidate_mask(
     const std::vector<std::string_view>& attr_values,
     std::vector<std::uint64_t>& stamp, std::uint64_t epoch) const {
@@ -350,11 +296,11 @@ bool CompiledIndex::candidate_mask(
 std::size_t CompiledIndex::candidate_count(const QueryContext& context) const {
   std::vector<std::string_view> attr_values;
   resolve_attrs(context, attr_values);
-  std::vector<char> mask;
-  candidate_mask(attr_values, mask);
-  if (mask.empty()) return assertions_.size();
+  std::vector<std::uint64_t> stamp;
+  constexpr std::uint64_t kEpoch = 1;  // fresh stamps are all 0
+  if (!candidate_mask(attr_values, stamp, kEpoch)) return assertions_.size();
   return static_cast<std::size_t>(
-      std::count(mask.begin(), mask.end(), char(1)));
+      std::count(stamp.begin(), stamp.end(), kEpoch));
 }
 
 CompiledIndex::Stats CompiledIndex::stats() const {
@@ -381,8 +327,7 @@ std::string CompiledIndex::describe() const {
   return out;
 }
 
-std::size_t CompiledIndex::policy_value(const QueryContext& context,
-                                        ConditionsCache* cache) const {
+std::size_t CompiledIndex::policy_value(const QueryContext& context) const {
   const Query& q = context.query();
   const std::size_t vmin = q.values.min_index();
   const std::size_t vmax = q.values.max_index();
@@ -432,31 +377,29 @@ std::size_t CompiledIndex::policy_value(const QueryContext& context,
   // sized).
   if (assertions_.empty()) return vmin;
 
-  // Per-query lazy conditions values (per deduplicated program), backed
-  // by the cross-query cache. Counts are tallied in locals and flushed
-  // once on exit so the inner loops pay no enabled-flag branches (a
-  // disabled inc() per worklist pop is measurable at small store sizes).
+  // Fixpoint steps are tallied in a local and flushed once on exit so the
+  // inner loop pays no enabled-flag branch (a disabled inc() per worklist
+  // pop is measurable at small store sizes).
   struct Tally {
-    std::uint64_t memo_hits = 0, memo_misses = 0, fixpoint_steps = 0;
+    std::uint64_t fixpoint_steps = 0;
     ~Tally() {
-      auto& m = EngineMetrics::get();
-      if (memo_hits != 0) m.memo_hits.inc(memo_hits);
-      if (memo_misses != 0) m.memo_misses.inc(memo_misses);
-      if (fixpoint_steps != 0) m.fixpoint_steps.inc(fixpoint_steps);
+      if (fixpoint_steps != 0) {
+        EngineMetrics::get().fixpoint_steps.inc(fixpoint_steps);
+      }
     }
   } tally;
 
   std::vector<std::string_view>& attr_values = qs.attr_values;
   resolve_attrs(context, attr_values);
 
+  // Per-query lazy conditions values, one per deduplicated program: each
+  // program the fixpoint touches runs at most once per query.
   std::vector<std::size_t>& conditions = qs.conditions;
   std::vector<std::uint64_t>& cond_stamp = qs.cond_stamp;
   if (conditions.size() < programs_.size()) {
     conditions.resize(programs_.size());
     cond_stamp.resize(programs_.size(), 0);
   }
-  const std::uint64_t fp = context.fingerprint();
-  const std::uint64_t verifier = context.verifier();
   VmScratch& scratch = qs.vm;
   auto remember = [&](std::uint32_t program, std::size_t v) {
     conditions[program] = v;
@@ -472,23 +415,13 @@ std::size_t CompiledIndex::policy_value(const QueryContext& context,
     if (entry.compiled.constant == ProgramConst::kMin) {
       return remember(program, vmin);
     }
-    if (cache != nullptr) {
-      if (auto hit = cache->get(program, fp, verifier)) {
-        ++tally.memo_hits;
-        return remember(program, *hit);
-      }
-    }
-    ++tally.memo_misses;
-    std::size_t v;
     if (entry.compiled.needs_dyn) {
       AttrLookup dyn = context.lookup(*entry.rep);
-      v = run_conditions(entry.compiled, q.values, attr_values, &dyn, scratch);
-    } else {
-      v = run_conditions(entry.compiled, q.values, attr_values, nullptr,
-                         scratch);
+      return remember(program, run_conditions(entry.compiled, q.values,
+                                              attr_values, &dyn, scratch));
     }
-    if (cache != nullptr) cache->put(program, fp, verifier, v);
-    return remember(program, v);
+    return remember(program, run_conditions(entry.compiled, q.values,
+                                            attr_values, nullptr, scratch));
   };
 
   // Assertion-driven worklist fixpoint (chaotic iteration), seeded from
@@ -689,24 +622,22 @@ mwsec::Status CompiledStore::install_bundle(std::string_view bundle_text,
   return {};
 }
 
-std::shared_ptr<const CompiledStore::Snapshot>
-CompiledStore::base_snapshot_locked() const {
-  if (cached_ == nullptr || cached_version_ != version_) {
-    EngineMetrics::get().snapshot_rebuilds.inc();
-    auto snap = std::make_shared<Snapshot>();
-    snap->assertions_.reserve(policies_.size() + credentials_.size());
-    snap->assertions_.insert(snap->assertions_.end(), policies_.begin(),
-                             policies_.end());
-    snap->assertions_.insert(snap->assertions_.end(), credentials_.begin(),
-                             credentials_.end());
-    for (const auto& a : snap->assertions_) snap->index_.add(a);
-    snap->index_.finalize();
-    snap->cond_cache_ =
-        std::make_unique<ConditionsCache>(snap->index_.program_count());
-    cached_ = std::move(snap);
-    cached_version_ = version_;
-  }
-  return cached_;
+std::shared_ptr<const CompiledStore::Snapshot> CompiledStore::compile(
+    std::vector<Assertion> assertions, std::vector<std::string> dropped) {
+  auto snap = std::make_shared<Snapshot>();
+  snap->assertions_ = std::move(assertions);
+  snap->dropped_ = std::move(dropped);
+  for (const auto& a : snap->assertions_) snap->index_.add(a);
+  snap->index_.finalize();
+  return snap;
+}
+
+std::vector<Assertion> CompiledStore::stored_locked(std::size_t extra) const {
+  std::vector<Assertion> out;
+  out.reserve(policies_.size() + credentials_.size() + extra);
+  out.insert(out.end(), policies_.begin(), policies_.end());
+  out.insert(out.end(), credentials_.begin(), credentials_.end());
+  return out;
 }
 
 CompiledStore::StoreHandle CompiledStore::acquire() const {
@@ -719,13 +650,19 @@ CompiledStore::StoreHandle CompiledStore::acquire() const {
       handle->version == version_.load(std::memory_order_acquire)) {
     return *handle;
   }
+  // Slow path: writers move version_ only under mu_, so under the lock
+  // the re-check is exact — a reader that queued behind the one that
+  // rebuilt this epoch finds the fresh handle and returns it.
   std::scoped_lock lock(mu_);
-  auto snap = base_snapshot_locked();
-  auto fresh = std::make_shared<StoreHandle>();
-  fresh->snapshot = std::move(snap);
-  fresh->version = cached_version_;
-  published_.store(fresh, std::memory_order_release);
-  return *fresh;
+  handle = published_.load(std::memory_order_relaxed);
+  const std::uint64_t version = version_.load(std::memory_order_relaxed);
+  if (handle == nullptr || handle->version != version) {
+    EngineMetrics::get().snapshot_rebuilds.inc();
+    handle = std::make_shared<const StoreHandle>(
+        StoreHandle{compile(stored_locked(0), {}), version});
+    published_.store(handle, std::memory_order_release);
+  }
+  return *handle;
 }
 
 std::shared_ptr<const CompiledStore::Snapshot> CompiledStore::snapshot()
@@ -733,62 +670,47 @@ std::shared_ptr<const CompiledStore::Snapshot> CompiledStore::snapshot()
   return acquire().snapshot;
 }
 
-std::shared_ptr<const CompiledStore::Snapshot> CompiledStore::snapshot_with(
+CompiledStore::StoreHandle CompiledStore::snapshot_with(
     const std::vector<Assertion>& presented,
     const QueryOptions& options) const {
-  if (presented.empty()) return snapshot();
+  if (presented.empty()) return acquire();
   EngineMetrics::get().snapshot_with_builds.inc();
 
-  std::vector<Assertion> stored_policies, stored_credentials;
-  {
-    std::scoped_lock lock(mu_);
-    stored_policies = policies_;
-    stored_credentials = credentials_;
-  }
-  auto snap = std::make_shared<Snapshot>();
-  snap->assertions_ = std::move(stored_policies);
-  snap->assertions_.reserve(snap->assertions_.size() +
-                            stored_credentials.size() + presented.size());
-  snap->assertions_.insert(snap->assertions_.end(),
-                           std::make_move_iterator(stored_credentials.begin()),
-                           std::make_move_iterator(stored_credentials.end()));
   // Presented credentials are screened once, here; every query answered by
   // this snapshot reuses the admission verdicts.
+  std::vector<std::string> dropped;
+  std::vector<const Assertion*> admitted;
   for (const auto& a : presented) {
     if (a.is_policy()) {
-      snap->dropped_.push_back("POLICY assertion offered as credential");
+      dropped.push_back("POLICY assertion offered as credential");
       EngineMetrics::get().presented_dropped.inc();
       continue;
     }
     if (options.verify_signatures) {
       EngineMetrics::get().admission_verifies.inc();
       if (auto v = a.verify(); !v.ok()) {
-        snap->dropped_.push_back(v.error().message);
+        dropped.push_back(v.error().message);
         EngineMetrics::get().presented_dropped.inc();
         continue;
       }
     }
-    snap->assertions_.push_back(a);
+    admitted.push_back(&a);
   }
-  for (const auto& a : snap->assertions_) snap->index_.add(a);
-  snap->index_.finalize();
-  snap->cond_cache_ =
-      std::make_unique<ConditionsCache>(snap->index_.program_count());
-  return snap;
+  // One lock covers the copy and the version that labels it.
+  StoreHandle handle;
+  std::vector<Assertion> assertions;
+  {
+    std::scoped_lock lock(mu_);
+    assertions = stored_locked(admitted.size());
+    handle.version = version_.load(std::memory_order_relaxed);
+  }
+  for (const Assertion* a : admitted) assertions.push_back(*a);
+  handle.snapshot = compile(std::move(assertions), std::move(dropped));
+  return handle;
 }
 
 mwsec::Result<QueryResult> CompiledStore::Snapshot::query(
     const Query& q) const {
-  return query_impl(q, cond_cache_.get());
-}
-
-mwsec::Result<QueryResult> CompiledStore::Snapshot::query_uncached(
-    const Query& q) const {
-  return query_impl(q, nullptr);
-}
-
-mwsec::Result<QueryResult> CompiledStore::Snapshot::query_impl(
-    const Query& q, ConditionsCache* cache) const {
   auto& metrics = EngineMetrics::get();
   metrics.queries.inc();
   obs::ScopedTimer timer(metrics.query_us);
@@ -800,7 +722,7 @@ mwsec::Result<QueryResult> CompiledStore::Snapshot::query_impl(
   }
   QueryContext context(q);
   QueryResult result;
-  result.value_index = index_.policy_value(context, cache);
+  result.value_index = index_.policy_value(context);
   result.value_name = q.values.name(result.value_index);
   result.dropped_credentials = dropped_;
   if (span.active()) {
@@ -819,7 +741,7 @@ mwsec::Result<QueryResult> CompiledStore::Snapshot::query_impl(
 mwsec::Result<QueryResult> CompiledStore::query(
     const Query& q, const std::vector<Assertion>& presented,
     const QueryOptions& options) const {
-  return snapshot_with(presented, options)->query(q);
+  return snapshot_with(presented, options).snapshot->query(q);
 }
 
 std::string CompiledStore::to_bundle_text() const {

@@ -21,20 +21,15 @@
 //     (attribute, literal) -> candidate assertion ids. Credential
 //     signatures are verified exactly once, at admission
 //     (`CompiledStore::add_credential`).
-//   per action environment     — each *program's* Conditions value is
-//     memoized keyed by a fingerprint of the action environment
-//     (`ConditionsCache`), so repeated queries that differ only in e.g.
-//     (Domain, Role) pay conditions evaluation once per distinct
-//     environment per distinct program. Entries carry a second,
-//     independent verifier hash so a fingerprint collision is detected
-//     instead of silently returning the wrong compliance value.
 //   per query                  — an assertion-driven worklist fixpoint:
 //     seeded from the assertions that mention a requester *and* survive
 //     the candidate filter (posting-list lookup under the query's
 //     attribute values), it traverses only the reachable delegation
-//     subgraph, evaluates Conditions lazily, and exits early once POLICY
-//     reaches _MAX_TRUST. Cold-query cost therefore scales with the
-//     requester's delegation neighbourhood, not with store size.
+//     subgraph, evaluates each touched program's Conditions lazily and at
+//     most once, and exits early once POLICY reaches _MAX_TRUST. Query
+//     cost therefore scales with the requester's delegation
+//     neighbourhood, not with store size. Repeated decisions are cached
+//     as verdicts one layer up, by `authz::CachingAuthorizer`.
 //
 // `CompiledStore` packages this behind a mutator/query surface — the
 // per-node credential store every KeyNote decision in the repository runs
@@ -100,36 +95,6 @@ struct CompiledAssertion {
   CompiledLicensee licensees;
 };
 
-/// Cross-query memo of per-*program* Conditions values, keyed by the query
-/// environment fingerprint. Each entry also stores the context's verifier
-/// hash: a lookup whose fingerprint matches but whose verifier does not is
-/// a detected collision and reported as a miss, never a wrong value.
-/// Thread-safe; owned by a `Snapshot` so it is discarded whenever the
-/// assertion set (and thus program ids) change.
-class ConditionsCache {
- public:
-  explicit ConditionsCache(std::size_t program_count)
-      : memo_(program_count) {}
-
-  std::optional<std::size_t> get(std::size_t program,
-                                 std::uint64_t fingerprint,
-                                 std::uint64_t verifier) const;
-  void put(std::size_t program, std::uint64_t fingerprint,
-           std::uint64_t verifier, std::size_t value);
-
-  /// Detected fingerprint collisions since construction.
-  std::uint64_t collisions() const;
-
- private:
-  struct Entry {
-    std::uint64_t verifier;
-    std::size_t value;
-  };
-  mutable std::mutex mu_;
-  std::vector<std::unordered_map<std::uint64_t, Entry>> memo_;
-  mutable std::uint64_t collisions_ = 0;
-};
-
 /// The compiled, immutable form of one admitted assertion set.
 class CompiledIndex {
  public:
@@ -148,14 +113,9 @@ class CompiledIndex {
   void finalize();
 
   /// Compliance value of POLICY for `query`: the worklist fixpoint.
-  /// `cache`, when non-null, memoizes Conditions values across queries
-  /// under `context.fingerprint()`.
-  std::size_t policy_value(const QueryContext& context,
-                           ConditionsCache* cache) const;
+  std::size_t policy_value(const QueryContext& context) const;
 
   std::size_t assertion_count() const { return assertions_.size(); }
-  /// Deduplicated bytecode programs (ConditionsCache is sized by this).
-  std::size_t program_count() const { return programs_.size(); }
 
   struct Stats {
     std::size_t assertions = 0;
@@ -183,11 +143,6 @@ class CompiledIndex {
     /// the program needs one (identical local constants by construction).
     const Assertion* rep = nullptr;
   };
-
-  /// Candidate filter under one query. `mask` is empty when every
-  /// assertion is a candidate.
-  void candidate_mask(const std::vector<std::string_view>& attr_values,
-                      std::vector<char>& mask) const;
 
   /// Epoch-stamped candidate filter: `stamp[i] == epoch` marks assertion
   /// i a candidate, stale stamps from earlier queries are never reset
@@ -290,30 +245,17 @@ class CompiledStore {
   /// presented credentials): answers many queries against one admission.
   class Snapshot {
    public:
+    /// Takes no mutex: the fixpoint reads only this immutable snapshot and
+    /// the calling thread's scratch.
     mwsec::Result<QueryResult> query(const Query& q) const;
-
-    /// As query(), but bypassing the cross-query Conditions memo: every
-    /// Conditions program the fixpoint touches is evaluated cold. This is
-    /// the revocation-storm path (version bump -> fresh Snapshot -> cold
-    /// memo), made callable on a warm snapshot so it can be benchmarked
-    /// in isolation.
-    mwsec::Result<QueryResult> query_uncached(const Query& q) const;
 
     /// The compiled index (stats and candidate sets for tests/tools).
     const CompiledIndex& index() const { return index_; }
 
-    /// Detected Conditions-memo fingerprint collisions.
-    std::uint64_t memo_collisions() const {
-      return cond_cache_->collisions();
-    }
-
    private:
     friend class CompiledStore;
-    mwsec::Result<QueryResult> query_impl(const Query& q,
-                                          ConditionsCache* cache) const;
     std::vector<Assertion> assertions_;  // owned; index points into this
     CompiledIndex index_;
-    std::unique_ptr<ConditionsCache> cond_cache_;
     std::vector<std::string> dropped_;  // presented credentials not admitted
   };
 
@@ -341,13 +283,15 @@ class CompiledStore {
 
   /// Compiled view of the store plus `presented` credentials, each
   /// verified once here (unless `options.verify_signatures` is false).
-  /// Use this to answer many queries for one request — e.g. KeyCOM
-  /// authorising every row of an update against the same presented bundle.
-  std::shared_ptr<const Snapshot> snapshot_with(
-      const std::vector<Assertion>& presented,
-      const QueryOptions& options = {}) const;
+  /// The handle's version is read under the same lock as the stored
+  /// assertions it was compiled from. With nothing presented this is
+  /// `acquire()`. Use this to answer many queries for one request — e.g.
+  /// KeyCOM authorising every row of an update against the same
+  /// presented bundle.
+  StoreHandle snapshot_with(const std::vector<Assertion>& presented,
+                            const QueryOptions& options = {}) const;
 
-  /// One-shot convenience: `snapshot_with(presented, options)->query(q)`.
+  /// One-shot convenience: `snapshot_with(presented, options)` queried once.
   mwsec::Result<QueryResult> query(const Query& q,
                                    const std::vector<Assertion>& presented = {},
                                    const QueryOptions& options = {}) const;
@@ -356,7 +300,13 @@ class CompiledStore {
   std::string to_bundle_text() const;
 
  private:
-  std::shared_ptr<const Snapshot> base_snapshot_locked() const;
+  /// The one snapshot builder: index `assertions` (stored policies, then
+  /// stored credentials, then admitted presented ones).
+  static std::shared_ptr<const Snapshot> compile(
+      std::vector<Assertion> assertions, std::vector<std::string> dropped);
+  /// Copy of the stored assertions in compile order, with room for
+  /// `extra` more. Caller holds mu_.
+  std::vector<Assertion> stored_locked(std::size_t extra) const;
 
   mutable std::mutex mu_;
   std::vector<Assertion> policies_;
@@ -364,10 +314,9 @@ class CompiledStore {
   /// Atomic so version()/acquire() fast paths never take mu_; writers
   /// only move it while holding mu_.
   std::atomic<std::uint64_t> version_{1};
-  mutable std::shared_ptr<const Snapshot> cached_;
-  mutable std::uint64_t cached_version_ = 0;
-  /// RCU publication point: the last handle handed out. Readers load it
-  /// wait-free; the locked slow path swaps in a fresh one after a rebuild.
+  /// RCU publication point: the one compiled view of the stored
+  /// assertions. Readers load it wait-free; the locked slow path of
+  /// acquire() swaps in a fresh one after a rebuild.
   mutable std::atomic<std::shared_ptr<const StoreHandle>> published_;
 };
 

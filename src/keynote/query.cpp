@@ -14,29 +14,6 @@ namespace {
 
 constexpr std::string_view kPolicyPrincipal = "POLICY";
 
-std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  // Field separator, so {"ab","c"} and {"a","bc"} fingerprint differently.
-  h ^= 0x1f;
-  h *= 0x100000001b3ULL;
-  return h;
-}
-
-/// The verifier hash: xorshift-multiply mixing, structurally unlike FNV-1a
-/// so the two hashes do not collide together for related inputs.
-std::uint64_t mix64(std::uint64_t h, std::string_view s) {
-  for (unsigned char c : s) {
-    h = (h ^ c) * 0x2545F4914F6CDD1DULL;
-    h ^= h >> 29;
-  }
-  h = (h ^ 0x9E3779B97F4A7C15ULL) * 0x2545F4914F6CDD1DULL;
-  h ^= h >> 32;
-  return h;
-}
-
 /// Screen `credentials` for admission: POLICY assertions are never
 /// credentials, and signatures must verify unless checking is disabled.
 /// Admitted credentials are appended to `admitted`; the rest are reported
@@ -78,22 +55,7 @@ mwsec::Status check_policies(const std::vector<Assertion>& policies) {
 QueryContext::QueryContext(const Query& query)
     : query_(&query),
       values_joined_(query.values.joined()),
-      authorizers_joined_(util::join(query.action_authorizers, ",")) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  std::uint64_t v = 0x9E3779B97F4A7C15ULL;
-  h = fnv1a(h, values_joined_);
-  v = mix64(v, values_joined_);
-  h = fnv1a(h, authorizers_joined_);
-  v = mix64(v, authorizers_joined_);
-  for (const auto& [name, value] : query.env.attrs()) {
-    h = fnv1a(h, name);
-    v = mix64(v, name);
-    h = fnv1a(h, value);
-    v = mix64(v, value);
-  }
-  fingerprint_ = h;
-  verifier_ = v;
-}
+      authorizers_joined_(util::join(query.action_authorizers, ",")) {}
 
 std::string_view QueryContext::reserved_or_env(std::string_view name) const {
   if (name == "_MIN_TRUST") return query_->values.min_name();
@@ -132,7 +94,7 @@ mwsec::Result<QueryResult> evaluate(const std::vector<Assertion>& policies,
   index.finalize();
 
   QueryContext context(query);
-  result.value_index = index.policy_value(context, /*cache=*/nullptr);
+  result.value_index = index.policy_value(context);
   result.value_name = query.values.name(result.value_index);
   return result;
 }

@@ -14,7 +14,6 @@
 // insensitive to delegation cycles.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,9 +49,7 @@ struct QueryResult {
 
 /// Per-query evaluation context: precomputes the reserved attributes
 /// (_VALUES, _ACTION_AUTHORIZERS) so attribute lookups can return views
-/// into stable storage, and fingerprints everything an assertion's
-/// Conditions program can observe apart from its own local constants —
-/// the key under which Conditions results are memoized across queries.
+/// into stable storage.
 class QueryContext {
  public:
   explicit QueryContext(const Query& query);
@@ -65,18 +62,6 @@ class QueryContext {
   /// — keep all three alive while evaluating.
   AttrLookup lookup(const Assertion& assertion) const;
 
-  /// Fingerprint of (compliance values, action authorizers, environment).
-  /// 64-bit FNV-1a: collisions are possible in principle, so memo entries
-  /// also carry `verifier()` and a hit requires both to match — a silent
-  /// wrong-value hit needs a simultaneous collision in two unrelated
-  /// 64-bit hashes.
-  std::uint64_t fingerprint() const { return fingerprint_; }
-
-  /// Second, independent 64-bit hash of the same data (xorshift-multiply
-  /// mixing, not FNV with a different basis), stored alongside memo
-  /// entries to verify fingerprint hits.
-  std::uint64_t verifier() const { return verifier_; }
-
   /// Value of an attribute *outside* any assertion's local constants: the
   /// four RFC 2704 reserved attributes, else the action environment
   /// (unset reads as ""). This is the resolution used to fill the compiled
@@ -88,8 +73,6 @@ class QueryContext {
   const Query* query_;
   std::string values_joined_;
   std::string authorizers_joined_;
-  std::uint64_t fingerprint_;
-  std::uint64_t verifier_;
 };
 
 /// Evaluate a query. `policies` must contain only POLICY assertions;

@@ -98,8 +98,7 @@ TEST(KeyNoteAuthorizer, SnapshotModeIsPinned) {
                    "Authorizer: POLICY\nLicensees: \"kalice\"\n"
                    "Conditions: app_domain == \"WebCom\";\n")
                   .ok());
-  KeyNoteAuthorizer pinned(store.snapshot_with({}), store.version(),
-                           "keycom-delegation");
+  KeyNoteAuthorizer pinned(store.snapshot_with({}), "keycom-delegation");
   EXPECT_EQ(pinned.name(), "keycom-delegation");
   const auto epoch = pinned.epoch();
   EXPECT_TRUE(pinned.decide(salaries_request("kalice", "read")).permitted());

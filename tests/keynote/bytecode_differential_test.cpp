@@ -1,14 +1,18 @@
-// Randomized differential test: the bytecode VM engine (via evaluate(),
-// Snapshot::query() and Snapshot::query_uncached()) must agree with the
-// reference tree-walking evaluator on generated stores exercising nested
-// delegation, the full Conditions operator surface (string/int/float
-// comparisons, arithmetic including division-by-zero error paths, concat,
-// regex with constant and dynamic patterns, $-indirection, subprograms,
-// `-> value` outcomes with multi-valued compliance sets) and local
-// constants. Every case is seeded and replayable: a failure message names
-// the seed, and re-running with that GTest parameter reproduces it.
+// Randomized differential test: the bytecode VM engine (via evaluate()
+// and Snapshot::query()) must agree with the reference tree-walking
+// evaluator on generated stores exercising nested delegation, the full
+// Conditions operator surface (string/int/float comparisons, arithmetic
+// including division-by-zero error paths, concat, regex with constant and
+// dynamic patterns, $-indirection, subprograms, `-> value` outcomes with
+// multi-valued compliance sets) and local constants. A second case drives
+// one CompiledStore through random interleavings of every mutator,
+// snapshot_with and acquire(), checking each query against the reference
+// over the store's live contents. Every case is seeded and replayable: a
+// failure message names the seed, and re-running with that GTest
+// parameter reproduces it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -153,27 +157,47 @@ struct GeneratedCase {
   std::vector<std::string> values;
 };
 
+std::vector<std::string> random_values(Rng& rng) {
+  return rng.chance(0.5) ? std::vector<std::string>{"false", "true"}
+                         : std::vector<std::string>{"no", "maybe", "yes"};
+}
+
+/// `one_line` folds the program onto one line: Assertion::to_text() does
+/// not indent continuation lines, so only a one-line Conditions field
+/// survives a bundle round trip.
+Assertion random_assertion(Rng& rng, const std::vector<std::string>& values,
+                           const std::string& authorizer,
+                           bool one_line = false) {
+  std::string program = random_program(rng, values);
+  if (one_line) std::replace(program.begin(), program.end(), '\n', ' ');
+  AssertionBuilder b;
+  b.authorizer(authorizer)
+      .licensees(random_licensees(rng))
+      .conditions(program);
+  if (rng.chance(0.4)) b.constant("lim", std::to_string(rng.below(4)));
+  if (rng.chance(0.15)) b.constant("tag", "x");
+  return b.build().take();
+}
+
+Assertion random_policy(Rng& rng, const std::vector<std::string>& values,
+                        bool one_line = false) {
+  return random_assertion(rng, values, "POLICY", one_line);
+}
+
+Assertion random_credential(Rng& rng, const std::vector<std::string>& values,
+                            bool one_line = false) {
+  return random_assertion(rng, values, "\"" + principal(rng) + "\"",
+                          one_line);
+}
+
 GeneratedCase generate(Rng& rng) {
   GeneratedCase c;
-  c.values = rng.chance(0.5)
-                 ? std::vector<std::string>{"false", "true"}
-                 : std::vector<std::string>{"no", "maybe", "yes"};
-
-  auto build = [&](const std::string& authorizer) {
-    AssertionBuilder b;
-    b.authorizer(authorizer)
-        .licensees(random_licensees(rng))
-        .conditions(random_program(rng, c.values));
-    if (rng.chance(0.4)) b.constant("lim", std::to_string(rng.below(4)));
-    if (rng.chance(0.15)) b.constant("tag", "x");
-    return b.build().take();
-  };
-
+  c.values = random_values(rng);
   for (std::size_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
-    c.policies.push_back(build("POLICY"));
+    c.policies.push_back(random_policy(rng, c.values));
   }
   for (std::size_t i = 0, n = rng.below(18); i < n; ++i) {
-    c.credentials.push_back(build("\"" + principal(rng) + "\""));
+    c.credentials.push_back(random_credential(rng, c.values));
   }
   return c;
 }
@@ -205,7 +229,7 @@ TEST_P(BytecodeDifferential, VmMatchesReferenceEvaluator) {
 
   CompiledStore store;
   for (const auto& p : c.policies) ASSERT_TRUE(store.add_policy(p).ok());
-  auto snapshot = store.snapshot_with(c.credentials, lax);
+  auto snapshot = store.snapshot_with(c.credentials, lax).snapshot;
 
   for (int probe = 0; probe < 10; ++probe) {
     Query q = random_query(rng, c.values);
@@ -217,13 +241,8 @@ TEST_P(BytecodeDifferential, VmMatchesReferenceEvaluator) {
     EXPECT_EQ(one_shot->value_index, want->value_index)
         << "evaluate() diverged; seed=" << seed << " probe=" << probe;
 
-    auto cold = snapshot->query_uncached(q);
-    ASSERT_TRUE(cold.ok()) << cold.error().message;
-    EXPECT_EQ(cold->value_index, want->value_index)
-        << "query_uncached() diverged; seed=" << seed << " probe=" << probe;
-
-    // Cached path twice: the first run fills the Conditions memo, the
-    // second must hit it and still agree.
+    // Twice on the same snapshot: per-query scratch left behind by the
+    // first run must not leak into the second.
     for (int pass = 0; pass < 2; ++pass) {
       auto warm = snapshot->query(q);
       ASSERT_TRUE(warm.ok()) << warm.error().message;
@@ -232,8 +251,101 @@ TEST_P(BytecodeDifferential, VmMatchesReferenceEvaluator) {
           << " pass=" << pass;
     }
   }
-  // Generated environments must never trip the collision detector.
-  EXPECT_EQ(snapshot->memo_collisions(), 0u) << "seed=" << seed;
+}
+
+TEST_P(BytecodeDifferential, InterleavedMutationsMatchReference) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x6a09e667);
+  QueryOptions lax;
+  lax.verify_signatures = false;
+  const std::vector<std::string> values = random_values(rng);
+
+  CompiledStore store;
+  ASSERT_TRUE(store.add_policy(random_policy(rng, values)).ok());
+
+  // Every query is checked against the reference over the store's live
+  // contents (plus anything presented), read back through its accessors.
+  auto check = [&](const CompiledStore::StoreHandle& handle,
+                   const std::vector<Assertion>& presented, int step) {
+    EXPECT_EQ(handle.version, store.version())
+        << "seed=" << seed << " step=" << step;
+    const std::vector<Assertion> policies = store.policies();
+    std::vector<Assertion> credentials = store.credentials();
+    credentials.insert(credentials.end(), presented.begin(), presented.end());
+    for (int probe = 0; probe < 3; ++probe) {
+      Query q = random_query(rng, values);
+      auto want = evaluate_reference(policies, credentials, q, lax);
+      ASSERT_TRUE(want.ok()) << want.error().message;
+      auto got = handle.snapshot->query(q);
+      ASSERT_TRUE(got.ok()) << got.error().message;
+      EXPECT_EQ(got->value_index, want->value_index)
+          << "seed=" << seed << " step=" << step << " probe=" << probe
+          << " presented=" << presented.size();
+    }
+  };
+  // Pick a stored credential's text, or (when there is none) a text that
+  // matches nothing.
+  auto stored_text = [&] {
+    const auto credentials = store.credentials();
+    if (credentials.empty()) return std::string("no such credential");
+    return credentials[rng.below(credentials.size())].to_text();
+  };
+
+  for (int step = 0; step < 48; ++step) {
+    const std::uint64_t before = store.version();
+    // A removal moves the version exactly when it removed something.
+    auto removal = [&](std::size_t removed) {
+      EXPECT_EQ(store.version() != before, removed != 0)
+          << "seed=" << seed << " step=" << step;
+    };
+    switch (rng.below(9)) {
+      case 0:
+        ASSERT_TRUE(store.add_policy(random_policy(rng, values)).ok());
+        break;
+      case 1:
+      case 2:
+        ASSERT_TRUE(
+            store.add_credential(random_credential(rng, values), false).ok());
+        break;
+      case 3:
+        removal(store.remove_matching(stored_text()));
+        break;
+      case 4:
+        removal(store.remove_by_authorizer(principal(rng)));
+        break;
+      case 5:
+        removal(store.remove_by_licensee(principal(rng)));
+        break;
+      case 6: {
+        std::string bundle;
+        for (std::size_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
+          bundle += random_policy(rng, values, true).to_text() + "\n";
+        }
+        for (std::size_t i = 0, n = rng.below(12); i < n; ++i) {
+          bundle += random_credential(rng, values, true).to_text() + "\n";
+        }
+        ASSERT_TRUE(store.install_bundle(bundle, before + rng.below(3), false)
+                        .ok())
+            << "seed=" << seed << " step=" << step;
+        EXPECT_GT(store.version(), before);
+        break;
+      }
+      case 7: {
+        std::vector<Assertion> presented;
+        for (std::size_t i = 0, n = rng.below(4); i < n; ++i) {
+          presented.push_back(random_credential(rng, values));
+        }
+        check(store.snapshot_with(presented, lax), presented, step);
+        break;
+      }
+      default:
+        break;  // a query through acquire() with no mutation before it
+    }
+    EXPECT_GE(store.version(), before);
+    // The single published handle always carries the version of the
+    // contents it was compiled from.
+    check(store.acquire(), {}, step);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytecodeDifferential,

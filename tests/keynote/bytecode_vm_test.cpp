@@ -1,8 +1,7 @@
 // Unit tests for the Conditions bytecode compiler and VM: constant
 // folding (including Local-Constants), guard extraction for the inverted
 // assertion index, error semantics parity with eval.cpp, the disassembler,
-// the ConditionsCache collision detector, and candidate-set maintenance
-// across store mutations.
+// and candidate-set maintenance across store mutations.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -202,40 +201,6 @@ TEST(BytecodeDisassembly, ListsOpsGuardsAndConstants) {
 
   auto never = compile("\"x\" == \"y\"", attrs);
   EXPECT_NE(disassemble(never, attrs).find("_MIN_TRUST"), std::string::npos);
-}
-
-// ---------------------------------------------------- memo collision guard
-
-TEST(ConditionsCacheTest, FingerprintCollisionIsDetectedNotServed) {
-  ConditionsCache cache(1);
-  const std::uint64_t fp = 0xdeadbeefULL;
-
-  cache.put(0, fp, /*verifier=*/111, /*value=*/1);
-  auto hit = cache.get(0, fp, 111);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 1u);
-  EXPECT_EQ(cache.collisions(), 0u);
-
-  // Same fingerprint, different environment (different verifier): a forced
-  // 64-bit collision. Must read as a miss, never as value 1.
-  auto collided = cache.get(0, fp, /*verifier=*/222);
-  EXPECT_FALSE(collided.has_value());
-  EXPECT_EQ(cache.collisions(), 1u);
-
-  // On collision the older environment keeps its entry: the colliding
-  // put is dropped, the original verifier still hits with its own value.
-  cache.put(0, fp, 222, 0);
-  auto original = cache.get(0, fp, 111);
-  ASSERT_TRUE(original.has_value());
-  EXPECT_EQ(*original, 1u);
-  EXPECT_FALSE(cache.get(0, fp, 222).has_value());
-}
-
-TEST(ConditionsCacheTest, ProgramsAreIndependent) {
-  ConditionsCache cache(2);
-  cache.put(0, 42, 7, 1);
-  EXPECT_FALSE(cache.get(1, 42, 7).has_value());
-  EXPECT_EQ(cache.collisions(), 0u);
 }
 
 // ------------------------------------------------------ index maintenance

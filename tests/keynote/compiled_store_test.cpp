@@ -4,8 +4,8 @@
 // over randomized policy/credential sets that exercise delegation chains,
 // k-of thresholds and delegation cycles, plus deterministic cases for each.
 //
-// Also covered: verify-once admission, the cross-query conditions memo
-// (second query of the same environment must give the same verdict),
+// Also covered: verify-once admission, repeat queries on one snapshot
+// (the second query of the same environment must give the same verdict),
 // store-version invalidation (revoking or replacing a credential changes
 // the next decision), and the store's mutator surface — idempotent adds,
 // the removal and listing calls, bundle round trips, and the separation
@@ -112,7 +112,7 @@ TEST_P(Differential, CompiledMatchesReferenceOnRandomSets) {
 
   CompiledStore store;
   for (const auto& p : policies) ASSERT_TRUE(store.add_policy(p).ok());
-  auto snapshot = store.snapshot_with(credentials, lax);
+  auto snapshot = store.snapshot_with(credentials, lax).snapshot;
 
   for (int probe = 0; probe < 8; ++probe) {
     Query q = random_query(rng);
@@ -124,7 +124,7 @@ TEST_P(Differential, CompiledMatchesReferenceOnRandomSets) {
     EXPECT_EQ(compiled->value_index, want->value_index)
         << "one-shot compiled evaluate() diverged from the reference";
 
-    // Through the store (conditions memo cold, then warm).
+    // Through the store, twice on the same snapshot.
     auto first = snapshot->query(q);
     ASSERT_TRUE(first.ok()) << first.error().message;
     EXPECT_EQ(first->value_index, want->value_index)
@@ -132,7 +132,7 @@ TEST_P(Differential, CompiledMatchesReferenceOnRandomSets) {
     auto second = snapshot->query(q);
     ASSERT_TRUE(second.ok());
     EXPECT_EQ(second->value_index, want->value_index)
-        << "memoized repeat of the same query changed the verdict";
+        << "repeating the same query changed the verdict";
   }
 }
 
