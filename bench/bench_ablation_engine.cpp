@@ -2,8 +2,6 @@
 //  * Firing disciplines (availability vs control vs coercion, Morrison
 //    [21]) on graphs with unused branches — control-driven should win
 //    when much of the graph is undemanded.
-//  * Parallel availability-driven evaluation vs sequential on wide
-//    graphs of genuinely costly nodes.
 //  * Flattening cost, and flattened vs on-the-fly evaporation.
 #include <benchmark/benchmark.h>
 
@@ -63,19 +61,6 @@ void BM_Ablation_FiringMode(benchmark::State& state) {
       static_cast<double>(stats.nodes_fired) / state.iterations();
 }
 BENCHMARK(BM_Ablation_FiringMode)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_Ablation_ParallelWorkers(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  Graph g = branchy_graph(8, 8, 16);  // all demanded, wide and heavy
-  for (auto _ : state) {
-    auto v = workers == 0 ? evaluate(g, reg())
-                          : evaluate_parallel(g, reg(), workers);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetLabel(workers == 0 ? "sequential"
-                              : std::to_string(workers) + " workers");
-}
-BENCHMARK(BM_Ablation_ParallelWorkers)->Arg(0)->Arg(1)->Arg(2)->Arg(4);
 
 Graph condensed_pipeline(int boxes) {
   Graph sub;

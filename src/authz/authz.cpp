@@ -20,14 +20,6 @@ std::ostream& operator<<(std::ostream& os, const Verdict& v) {
   return os;
 }
 
-std::vector<Verdict> Authorizer::decide_batch(
-    std::span<const Request> requests) const {
-  std::vector<Verdict> out;
-  out.reserve(requests.size());
-  for (const auto& request : requests) out.push_back(decide(request));
-  return out;
-}
-
 std::string Authorizer::explain(const Request& request,
                                 const Verdict& verdict) const {
   (void)request;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -98,12 +97,6 @@ class Authorizer {
   virtual std::string name() const = 0;
 
   virtual Verdict decide(const Request& request) const = 0;
-
-  /// Decide many requests at once — e.g. the scheduler's per-task
-  /// eligibility scan over every attached client. The default loops over
-  /// `decide`; backends with batch-friendly structure may override.
-  virtual std::vector<Verdict> decide_batch(
-      std::span<const Request> requests) const;
 
   /// Human-readable account of why this authoriser reached `verdict` for
   /// `request` — the failing condition/constraint for a deny. Consulted

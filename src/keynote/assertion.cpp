@@ -77,6 +77,14 @@ mwsec::Result<std::map<std::string, std::string>> parse_constants_text(
   return out;
 }
 
+/// A field body as parse() folds it: every line trimmed, blank lines
+/// dropped, the rest joined by single spaces. to_text() writes each field
+/// on one line, so a builder that stores this form survives the round
+/// trip — and so does a signature over it.
+std::string fold_lines(std::string_view text) {
+  return util::join(util::split_trimmed(text, '\n'), " ");
+}
+
 /// Apply Local-Constants substitution to every principal in a licensees
 /// expression.
 void substitute_principals(LicenseeExpr& expr,
@@ -296,23 +304,32 @@ mwsec::Result<Assertion> AssertionBuilder::build() const {
   if (authorizer_.empty()) {
     return Error::make("assertion needs an authorizer", "build");
   }
+  // A constant is a value, not text to fold: a newline in it would change
+  // what the assertion means after a round trip.
+  for (const auto& [name, value] : constants_) {
+    if (value.find('\n') != std::string::npos) {
+      return Error::make("Local-Constants value of " + name +
+                             " contains a newline",
+                         "build");
+    }
+  }
   Assertion a;
-  a.keynote_version_ = version_;
-  a.comment_ = comment_;
+  a.keynote_version_ = unquote(fold_lines(version_));
+  a.comment_ = fold_lines(comment_);
   a.local_constants_ = constants_;
-  a.authorizer_text_ = authorizer_;
-  a.authorizer_ = unquote(authorizer_);
+  a.authorizer_text_ = fold_lines(authorizer_);
+  a.authorizer_ = unquote(a.authorizer_text_);
   if (auto it = a.local_constants_.find(a.authorizer_);
       it != a.local_constants_.end()) {
     a.authorizer_ = it->second;
   }
-  a.licensees_text_ = licensees_;
-  auto lic = parse_licensees(licensees_);
+  a.licensees_text_ = fold_lines(licensees_);
+  auto lic = parse_licensees(a.licensees_text_);
   if (!lic.ok()) return lic.error();
   a.licensees_ = std::move(lic).take();
   substitute_principals(a.licensees_, a.local_constants_);
-  a.conditions_text_ = conditions_;
-  auto cond = parse_conditions(conditions_);
+  a.conditions_text_ = fold_lines(conditions_);
+  auto cond = parse_conditions(a.conditions_text_);
   if (!cond.ok()) return cond.error();
   a.conditions_ = std::move(cond).take();
   return a;

@@ -159,7 +159,6 @@ std::optional<std::uint32_t> PrincipalTable::find(std::string_view name) const {
 
 void CompiledIndex::add(const Assertion& assertion) {
   CompiledAssertion compiled;
-  compiled.source = &assertion;
   compiled.authorizer = assertion.is_policy()
                             ? kPolicyId
                             : principals_.intern(assertion.authorizer());
@@ -560,16 +559,6 @@ std::vector<Assertion> CompiledStore::credentials() const {
   return credentials_;
 }
 
-std::vector<Assertion> CompiledStore::credentials_by_authorizer(
-    const std::string& authorizer) const {
-  std::scoped_lock lock(mu_);
-  std::vector<Assertion> out;
-  for (const auto& a : credentials_) {
-    if (a.authorizer() == authorizer) out.push_back(a);
-  }
-  return out;
-}
-
 std::size_t CompiledStore::policy_count() const {
   std::scoped_lock lock(mu_);
   return policies_.size();
@@ -641,28 +630,28 @@ std::vector<Assertion> CompiledStore::stored_locked(std::size_t extra) const {
 }
 
 CompiledStore::StoreHandle CompiledStore::acquire() const {
-  // Fast path: the published handle is current. Two acquire loads; no
-  // mutex. A writer that moves version_ concurrently either wins (we see
-  // the mismatch and take the slow path) or loses (we return the old
-  // handle, whose version labels it correctly as the pre-mutation view).
-  auto handle = published_.load(std::memory_order_acquire);
-  if (handle != nullptr &&
-      handle->version == version_.load(std::memory_order_acquire)) {
-    return *handle;
+  // Fast path: the published handle is current. A writer that moves
+  // version_ concurrently either wins (we see the mismatch and take the
+  // slow path) or loses (we return the old handle, whose version labels
+  // it correctly as the pre-mutation view).
+  {
+    std::scoped_lock lock(published_mu_);
+    if (published_.version == version_.load(std::memory_order_acquire)) {
+      return published_;
+    }
   }
   // Slow path: writers move version_ only under mu_, so under the lock
   // the re-check is exact — a reader that queued behind the one that
   // rebuilt this epoch finds the fresh handle and returns it.
   std::scoped_lock lock(mu_);
-  handle = published_.load(std::memory_order_relaxed);
   const std::uint64_t version = version_.load(std::memory_order_relaxed);
-  if (handle == nullptr || handle->version != version) {
+  if (published_.version != version) {
     EngineMetrics::get().snapshot_rebuilds.inc();
-    handle = std::make_shared<const StoreHandle>(
-        StoreHandle{compile(stored_locked(0), {}), version});
-    published_.store(handle, std::memory_order_release);
+    StoreHandle fresh{compile(stored_locked(0), {}), version};
+    std::scoped_lock publish(published_mu_);
+    std::swap(published_, fresh);
   }
-  return *handle;
+  return published_;
 }
 
 std::shared_ptr<const CompiledStore::Snapshot> CompiledStore::snapshot()

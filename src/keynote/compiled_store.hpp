@@ -86,9 +86,6 @@ struct CompiledLicensee {
 };
 
 struct CompiledAssertion {
-  /// Conditions program + local constants live in the source assertion,
-  /// which must outlive the index.
-  const Assertion* source = nullptr;
   std::uint32_t authorizer = 0;
   /// Index into the deduplicated program table.
   std::uint32_t program = 0;
@@ -217,8 +214,6 @@ class CompiledStore {
 
   std::vector<Assertion> policies() const;
   std::vector<Assertion> credentials() const;
-  std::vector<Assertion> credentials_by_authorizer(
-      const std::string& authorizer) const;
 
   std::size_t policy_count() const;
   std::size_t credential_count() const;
@@ -261,20 +256,21 @@ class CompiledStore {
 
   /// An epoch-stamped immutable view: the compiled snapshot plus the
   /// version it was built at, captured as one consistent unit. This is the
-  /// RCU read-side handle (DESIGN.md §12): handles are published through
-  /// an atomic shared_ptr, so `acquire()` on an unchanged store is
-  /// lock-free — readers never block writers and a reader that races a
-  /// mutation simply keeps the pre-mutation view, correctly labelled with
-  /// the pre-mutation version (decision caches key on that version, so a
+  /// read-side handle (DESIGN.md §12): the store publishes one under a
+  /// small mutex of its own, so a reader that races a mutation simply
+  /// keeps the pre-mutation view, correctly labelled with the
+  /// pre-mutation version (decision caches key on that version, so a
   /// stale verdict can never be filed under the new epoch).
   struct StoreHandle {
     std::shared_ptr<const Snapshot> snapshot;
     std::uint64_t version = 0;
   };
 
-  /// The current published handle. Lock-free while the store is
-  /// unchanged; a version moved by a writer sends exactly one reader per
-  /// epoch through the locked rebuild-and-republish slow path.
+  /// The current published handle. While the store is unchanged this
+  /// takes only the publication mutex, which no writer or rebuild holds
+  /// for longer than a pointer swap; a version moved by a writer sends
+  /// exactly one reader per epoch through the rebuild-and-republish slow
+  /// path under `mu_`.
   StoreHandle acquire() const;
 
   /// Compiled view of the stored assertions alone (`acquire().snapshot`).
@@ -314,10 +310,12 @@ class CompiledStore {
   /// Atomic so version()/acquire() fast paths never take mu_; writers
   /// only move it while holding mu_.
   std::atomic<std::uint64_t> version_{1};
-  /// RCU publication point: the one compiled view of the stored
-  /// assertions. Readers load it wait-free; the locked slow path of
-  /// acquire() swaps in a fresh one after a rebuild.
-  mutable std::atomic<std::shared_ptr<const StoreHandle>> published_;
+  /// Guards `published_`. Lock order: mu_ → published_mu_.
+  mutable std::mutex published_mu_;
+  /// The one compiled view of the stored assertions. Written only by the
+  /// slow path of acquire(), holding both mutexes, so either one suffices
+  /// to read it. Version 0 (never a store version) until the first build.
+  mutable StoreHandle published_;
 };
 
 }  // namespace mwsec::keynote

@@ -130,34 +130,11 @@ mwsec::Status Authority::publish_credential(keynote::Assertion assertion) {
   return {};
 }
 
-mwsec::Status Authority::publish_bundle_text(std::string_view bundle_text) {
-  auto bundle = keynote::Assertion::parse_bundle(bundle_text);
-  if (!bundle.ok()) return bundle.error();
-  for (auto& a : *bundle) {
-    if (a.is_policy()) {
-      if (auto s = publish_policy_text(a.to_text()); !s.ok()) return s;
-    } else {
-      if (auto s = publish_credential(std::move(a)); !s.ok()) return s;
-    }
-  }
-  return {};
-}
-
 std::size_t Authority::revoke_matching(const std::string& text) {
   std::scoped_lock lock(mu_);
   auto removed = store_.remove_matching(text);
   if (removed != 0) {
     publish_locked({store_.version(), DeltaKind::kRevokeMatching, text});
-  }
-  return removed;
-}
-
-std::size_t Authority::revoke_by_authorizer(const std::string& principal) {
-  std::scoped_lock lock(mu_);
-  auto removed = store_.remove_by_authorizer(principal);
-  if (removed != 0) {
-    publish_locked(
-        {store_.version(), DeltaKind::kRevokeByAuthorizer, principal});
   }
   return removed;
 }

@@ -73,11 +73,7 @@ class Authority {
   // revocation matching nothing) publish nothing.
   mwsec::Status publish_policy_text(std::string_view text);
   mwsec::Status publish_credential(keynote::Assertion assertion);
-  /// Parse and publish a whole bundle, one delta per assertion (policies
-  /// and credentials both).
-  mwsec::Status publish_bundle_text(std::string_view bundle_text);
   std::size_t revoke_matching(const std::string& text);
-  std::size_t revoke_by_authorizer(const std::string& principal);
   std::size_t revoke_by_licensee(const std::string& principal);
 
   struct Stats {

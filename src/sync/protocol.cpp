@@ -4,8 +4,16 @@ namespace mwsec::sync {
 
 namespace {
 
-constexpr std::uint8_t kMaxKind =
-    static_cast<std::uint8_t>(DeltaKind::kRevokeByLicensee);
+bool known_kind(std::uint8_t kind) {
+  switch (static_cast<DeltaKind>(kind)) {
+    case DeltaKind::kAddPolicy:
+    case DeltaKind::kAddCredential:
+    case DeltaKind::kRevokeMatching:
+    case DeltaKind::kRevokeByLicensee:
+      return true;
+  }
+  return false;
+}
 
 mwsec::Result<Delta> read_delta(util::ByteReader& r) {
   Delta d;
@@ -14,7 +22,7 @@ mwsec::Result<Delta> read_delta(util::ByteReader& r) {
   d.epoch = *epoch;
   auto kind = r.u8();
   if (!kind.ok()) return kind.error();
-  if (*kind > kMaxKind) {
+  if (!known_kind(*kind)) {
     return Error::make("unknown delta kind " + std::to_string(*kind), "wire");
   }
   d.kind = static_cast<DeltaKind>(*kind);
@@ -36,7 +44,6 @@ const char* delta_kind_name(DeltaKind kind) {
     case DeltaKind::kAddPolicy: return "add-policy";
     case DeltaKind::kAddCredential: return "add-credential";
     case DeltaKind::kRevokeMatching: return "revoke-matching";
-    case DeltaKind::kRevokeByAuthorizer: return "revoke-by-authorizer";
     case DeltaKind::kRevokeByLicensee: return "revoke-by-licensee";
   }
   return "unknown";

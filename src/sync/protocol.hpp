@@ -36,7 +36,7 @@ enum class DeltaKind : std::uint8_t {
   kAddPolicy = 0,          ///< body: one POLICY assertion text
   kAddCredential = 1,      ///< body: one signed credential text
   kRevokeMatching = 2,     ///< body: exact credential text to withdraw
-  kRevokeByAuthorizer = 3, ///< body: principal whose issued credentials go
+  // 3 is unassigned: decode rejects it like any other unknown kind.
   kRevokeByLicensee = 4,   ///< body: principal whose received grants go
 };
 

@@ -141,9 +141,6 @@ void Replica::apply_locked(const Delta& d) {
     case DeltaKind::kRevokeMatching:
       store_.remove_matching(d.body);
       break;
-    case DeltaKind::kRevokeByAuthorizer:
-      store_.remove_by_authorizer(d.body);
-      break;
     case DeltaKind::kRevokeByLicensee:
       store_.remove_by_licensee(d.body);
       break;

@@ -35,8 +35,8 @@ Logger& Logger::instance() {
 }
 
 void Logger::set_sink(Sink sink) {
-  sink_.store(sink ? std::make_shared<const Sink>(std::move(sink)) : nullptr,
-              std::memory_order_release);
+  std::scoped_lock lock(emit_mu_);
+  sink_.swap(sink);
 }
 
 void Logger::log(LogLevel level, std::string_view component,
@@ -44,10 +44,6 @@ void Logger::log(LogLevel level, std::string_view component,
   // Re-check: callers normally come through MWSEC_LOG (already checked),
   // but log() is also a public entry point.
   if (!enabled(level)) return;
-  // Snapshot the sink before taking the emit lock: set_sink never waits
-  // on an emission in progress, and the shared_ptr keeps the functor this
-  // call runs alive even if it is swapped out mid-emission.
-  const auto sink = sink_.load(std::memory_order_acquire);
   // Per-line prefix: thread tag always, the active trace id only while a
   // traced operation is in scope on this thread (so the trace segment
   // appears exactly when tracing is on and correlates lines with spans).
@@ -65,8 +61,8 @@ void Logger::log(LogLevel level, std::string_view component,
   line.append(prefix, static_cast<std::size_t>(n));
   line.append(msg);
   std::scoped_lock lock(emit_mu_);
-  if (sink != nullptr) {
-    (*sink)(level, component, line);
+  if (sink_) {
+    sink_(level, component, line);
     return;
   }
   std::fprintf(stderr, "[%s] [%.*s] %s\n", level_name(level),

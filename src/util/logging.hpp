@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -52,15 +51,15 @@ class Logger {
 
   /// Receives every emitted line. Called with the logger's output lock
   /// held, so lines from concurrent threads never interleave — which also
-  /// means a sink must not call back into log()/MWSEC_LOG (self-deadlock).
+  /// means a sink must not call back into log()/MWSEC_LOG or set_sink()
+  /// (self-deadlock).
   using Sink =
       std::function<void(LogLevel, std::string_view component,
                          std::string_view message)>;
   /// Replace the output sink; an empty function restores stderr. Safe to
-  /// call while other threads are logging: the sink is published through
-  /// an atomic shared_ptr, so a swap never blocks on an in-flight
-  /// emission, and an emission mid-call keeps the functor it is running
-  /// alive even after it has been swapped out.
+  /// call while other threads are logging: the swap takes the output
+  /// lock, so it waits for an in-flight emission to finish with the old
+  /// sink.
   void set_sink(Sink sink);
 
   /// Emit one line: "[level] [component] [t<n>] [trace <id>] message".
@@ -71,9 +70,9 @@ class Logger {
 
  private:
   Logger() = default;
-  mutable std::mutex emit_mu_;  ///< serialises emission only
+  std::mutex emit_mu_;  ///< serialises emission and guards sink_
   std::atomic<LogLevel> level_{LogLevel::kWarn};
-  std::atomic<std::shared_ptr<const Sink>> sink_;  // null -> stderr
+  Sink sink_;  // empty -> stderr
 };
 
 /// Streaming helper: MWSEC_LOG(kInfo, "webcom") << "scheduled " << n;

@@ -1,12 +1,8 @@
 #include "webcom/engine.hpp"
 
-#include <atomic>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <vector>
 
 namespace mwsec::webcom {
@@ -151,120 +147,6 @@ mwsec::Result<Value> evaluate(const Graph& graph,
                               const OperationRegistry& registry,
                               FiringMode mode, EvalStats* stats) {
   return evaluate_impl(graph, registry, mode, stats);
-}
-
-mwsec::Result<Value> evaluate_parallel(const Graph& graph,
-                                       const OperationRegistry& registry,
-                                       std::size_t workers,
-                                       EvalStats* stats) {
-  if (workers == 0) workers = 1;
-  if (auto s = graph.validate(); !s.ok()) return s.error();
-
-  const std::size_t n = graph.nodes().size();
-  // Dependency bookkeeping: remaining unsatisfied operand arcs per node.
-  std::vector<std::size_t> missing(n, 0);
-  for (const auto& arc : graph.arcs()) ++missing[arc.to];
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<NodeId> ready;
-  std::vector<std::optional<Value>> results(n);
-  std::size_t fired = 0;
-  std::size_t condensations = 0;
-  std::optional<Error> failure;
-  std::size_t completed = 0;
-  bool stop = false;  // guarded by mu; jthread stop_token alone cannot
-                      // wake a plain condition_variable without a race
-
-  for (NodeId i = 0; i < n; ++i) {
-    if (missing[i] == 0) ready.push_back(i);
-  }
-
-  auto worker = [&] {
-    while (true) {
-      NodeId id;
-      {
-        std::unique_lock lock(mu);
-        cv.wait(lock, [&] {
-          return !ready.empty() || completed == n || failure.has_value() ||
-                 stop;
-        });
-        if (ready.empty()) return;  // done, failed or stopping
-        id = ready.front();
-        ready.pop_front();
-      }
-      const Node& node = graph.nodes()[id];
-      std::vector<Value> inputs(node.arity);
-      auto producers = graph.producers_of(id);
-      bool input_error = false;
-      {
-        std::scoped_lock lock(mu);
-        for (std::size_t p = 0; p < node.arity && !input_error; ++p) {
-          auto lit = node.literals.find(p);
-          if (lit != node.literals.end()) {
-            inputs[p] = lit->second;
-          } else {
-            auto prod = producers.find(p);
-            if (prod == producers.end() ||
-                !results[prod->second].has_value()) {
-              failure = Error::make("operand missing for " + node.name,
-                                    "engine");
-              input_error = true;
-            } else {
-              inputs[p] = *results[prod->second];
-            }
-          }
-        }
-      }
-      if (input_error) {
-        cv.notify_all();
-        return;
-      }
-
-
-      EvalStats local_stats;
-      auto value = fire_node(graph, id, inputs, registry,
-                             FiringMode::kAvailability, &local_stats);
-      {
-        std::scoped_lock lock(mu);
-        fired += local_stats.nodes_fired;
-        condensations += local_stats.condensations_evaporated;
-        if (!value.ok()) {
-          if (!failure.has_value()) failure = value.error();
-        } else {
-          results[id] = std::move(value).take();
-          ++completed;
-          for (NodeId consumer : graph.consumers_of(id)) {
-            if (--missing[consumer] == 0) ready.push_back(consumer);
-          }
-        }
-      }
-      cv.notify_all();
-    }
-  };
-
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(worker);
-    // Wait for completion or failure, then stop the pool. The stop flag is
-    // flipped under the mutex so no worker can miss the wakeup.
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return completed == n || failure.has_value(); });
-    stop = true;
-    cv.notify_all();
-  }  // jthreads join here (CP.25)
-
-  if (failure.has_value()) return *failure;
-  if (stats != nullptr) {
-    stats->nodes_fired = fired;
-    stats->condensations_evaporated = condensations;
-  }
-  NodeId exit = *graph.exit();
-  if (!results[exit].has_value()) {
-    return Error::make("exit node did not fire", "engine");
-  }
-  return *results[exit];
 }
 
 }  // namespace mwsec::webcom

@@ -9,10 +9,6 @@
 //     remaining available nodes are coerced opportunistically.
 // All three agree on the exit value for side-effect-free operations;
 // they differ in *which* nodes fire — exposed via EvalStats and tested.
-//
-// evaluate_parallel() runs availability-driven firing on a task executor
-// (CP.4: think in tasks): nodes whose operands are ready are submitted to
-// a pool of workers, giving real multicore speedup for wide graphs.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +31,5 @@ mwsec::Result<Value> evaluate(const Graph& graph,
                               const OperationRegistry& registry,
                               FiringMode mode = FiringMode::kAvailability,
                               EvalStats* stats = nullptr);
-
-/// Availability-driven evaluation with `workers` threads.
-mwsec::Result<Value> evaluate_parallel(const Graph& graph,
-                                       const OperationRegistry& registry,
-                                       std::size_t workers,
-                                       EvalStats* stats = nullptr);
 
 }  // namespace mwsec::webcom

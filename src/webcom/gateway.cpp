@@ -150,7 +150,10 @@ void Gateway::serve() {
   }
 
   // Authorise the submission itself.
-  std::vector<keynote::Assertion> presented;
+  authz::Request submission;
+  submission.principal = request->submitter;
+  submission.attributes = {{"Graph", request->graph_name},
+                           {"Operation", "submit"}};  // sorted by name
   if (!request->credentials.empty()) {
     auto bundle = keynote::Assertion::parse_bundle(request->credentials);
     if (!bundle.ok()) {
@@ -158,15 +161,9 @@ void Gateway::serve() {
       respond();
       return;
     }
-    presented = std::move(bundle).take();
+    submission.credentials = std::move(bundle).take();
   }
-  keynote::Query q;
-  q.action_authorizers = {request->submitter};
-  q.env.set("app_domain", "WebCom");
-  q.env.set("Operation", "submit");
-  q.env.set("Graph", request->graph_name);
-  auto verdict = store_.query(q, presented);
-  if (!verdict.ok() || !verdict->authorized()) {
+  if (!authz_.decide(submission).permitted()) {
     reject("submitter is not authorised to run " + request->graph_name,
            "denied");
     respond();

@@ -9,6 +9,7 @@
 
 #include <thread>
 
+#include "authz/keynote_authorizer.hpp"
 #include "keynote/compiled_store.hpp"
 #include "net/transport.hpp"
 #include "webcom/graph_io.hpp"
@@ -48,8 +49,9 @@ class Gateway {
   Gateway(net::Transport& network, std::string endpoint_name, Master& master);
   ~Gateway();
 
-  /// Trust root: who may submit what. Queried with attributes
-  /// app_domain="WebCom", Operation="submit", Graph=<graph_name>.
+  /// Trust root: who may submit what. Decided through a
+  /// KeyNoteAuthorizer: the Figure 5 environment (app_domain="WebCom")
+  /// plus Operation="submit" and Graph=<graph_name>.
   keynote::CompiledStore& store() { return store_; }
 
   mwsec::Status start();
@@ -69,6 +71,7 @@ class Gateway {
   std::string endpoint_name_;
   Master& master_;
   keynote::CompiledStore store_;
+  authz::KeyNoteAuthorizer authz_{store_};
   std::shared_ptr<net::Endpoint> endpoint_;
   std::jthread thread_;
   mutable std::mutex stats_mu_;

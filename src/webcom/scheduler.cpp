@@ -234,7 +234,7 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
       if (!placement_ok(client, node)) continue;
       candidates.push_back(&client);
     }
-    // ...narrowed by one batched authorisation decision over all of them
+    // ...narrowed by one authorisation decision per candidate, in order
     // (the unified cache answers repeats without a KeyNote query). When
     // every candidate is busy the outcome cannot matter this attempt —
     // dispatch would defer either way — so authorisation itself is
@@ -249,17 +249,10 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
         ready.push_back(id);  // all candidates busy; re-authorise later
         return {};
       }
-      std::vector<authz::Request> requests;
-      requests.reserve(candidates.size());
-      for (const ClientInfo* c : candidates) {
-        requests.push_back(scheduling_request(*c, *node.target));
-      }
-      const auto verdicts = authz_.decide_batch(requests);
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (verdicts[i].permitted()) candidates[kept++] = candidates[i];
-      }
-      candidates.resize(kept);
+      std::erase_if(candidates, [&](const ClientInfo* c) {
+        return !authz_.decide(scheduling_request(*c, *node.target))
+                    .permitted();
+      });
     }
     // Pick the first eligible idle client.
     const bool any_eligible = !candidates.empty();
@@ -538,6 +531,9 @@ void Client::serve(std::stop_token st) {
       reply.code = "denied";
       reply.value = "master " + task->master_principal.substr(0, 16) +
                     "... is not authorised to schedule " + task->node_name;
+      if (!verdict.explanation.empty()) {
+        reply.value += " (" + verdict.explanation + ")";
+      }
       metrics.client_rejected.inc();
       if (span.active()) {
         authz::Request request;

@@ -218,22 +218,6 @@ TEST(CachingAuthorizer, ExplicitInvalidateForcesRequery) {
   EXPECT_GE(cache.stats().invalidations, 1u);
 }
 
-TEST(CachingAuthorizer, DecideBatchRoutesThroughTheCache) {
-  FakeBackend backend;
-  CachingAuthorizer cache(backend);
-  std::vector<Request> requests;
-  for (int i = 0; i < 4; ++i) {
-    requests.push_back(salaries_request("kalice", "read"));
-  }
-  requests.push_back(salaries_request("kbob", "read"));
-  auto verdicts =
-      static_cast<const Authorizer&>(cache).decide_batch(requests);
-  ASSERT_EQ(verdicts.size(), 5u);
-  for (const auto& v : verdicts) EXPECT_TRUE(v.permitted());
-  EXPECT_EQ(backend.queries(), 2);  // one per distinct request
-  EXPECT_EQ(cache.stats().hits, 3u);
-}
-
 TEST(CachingAuthorizer, ForwardsNameEpochAndExplain) {
   FakeBackend backend;
   backend.set_epoch(42);

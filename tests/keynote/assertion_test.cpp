@@ -222,5 +222,49 @@ TEST(AssertionBuilder, RejectsBadSublanguage) {
       AssertionBuilder().authorizer("POLICY").licensees("&&").build().ok());
 }
 
+TEST(AssertionBuilder, MultiLineFieldsSurviveTextRoundTrip) {
+  // Unindented, indented, and blank-line-separated continuations.
+  for (const std::string nl : {"\n", "\n    ", "\n\n\t"}) {
+    auto a = AssertionBuilder()
+                 .comment("delegated" + nl + "for the night shift")
+                 .authorizer("POLICY")
+                 .licensees("\"K1\" ||" + nl + "\"K2\"")
+                 .conditions("app_domain == \"WebCom\" &&" + nl +
+                             "oper == \"run\" -> \"true\";" + nl +
+                             "oper == \"halt\";")
+                 .build();
+    ASSERT_TRUE(a.ok()) << a.error().message;
+    auto reparsed = Assertion::parse(a->to_text());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
+    EXPECT_EQ(reparsed->to_text(), a->to_text());
+    EXPECT_EQ(reparsed->comment(), "delegated for the night shift");
+  }
+}
+
+TEST(AssertionBuilder, SignedMultiLineCredentialVerifiesAfterRoundTrip) {
+  const auto& bob = ring().identity("Kbob");
+  for (const std::string nl : {"\n", "\n    "}) {
+    auto a = AssertionBuilder()
+                 .authorizer("\"" + bob.principal() + "\"")
+                 .licensees("\"Kalice\"")
+                 .conditions("app_domain == \"SalariesDB\" &&" + nl +
+                             "oper == \"write\"")
+                 .build_signed(bob)
+                 .take();
+    auto reparsed = Assertion::parse(a.to_text());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
+    EXPECT_TRUE(reparsed->verify().ok());
+  }
+}
+
+TEST(AssertionBuilder, RefusesNewlineInLocalConstant) {
+  EXPECT_FALSE(AssertionBuilder()
+                   .authorizer("POLICY")
+                   .constant("A", "K1\nK2")
+                   .licensees("A")
+                   .build()
+                   .ok());
+}
+
 }  // namespace
 }  // namespace mwsec::keynote

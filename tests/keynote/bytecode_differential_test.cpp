@@ -12,7 +12,6 @@
 // parameter reproduces it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -162,14 +161,9 @@ std::vector<std::string> random_values(Rng& rng) {
                          : std::vector<std::string>{"no", "maybe", "yes"};
 }
 
-/// `one_line` folds the program onto one line: Assertion::to_text() does
-/// not indent continuation lines, so only a one-line Conditions field
-/// survives a bundle round trip.
 Assertion random_assertion(Rng& rng, const std::vector<std::string>& values,
-                           const std::string& authorizer,
-                           bool one_line = false) {
+                           const std::string& authorizer) {
   std::string program = random_program(rng, values);
-  if (one_line) std::replace(program.begin(), program.end(), '\n', ' ');
   AssertionBuilder b;
   b.authorizer(authorizer)
       .licensees(random_licensees(rng))
@@ -179,15 +173,12 @@ Assertion random_assertion(Rng& rng, const std::vector<std::string>& values,
   return b.build().take();
 }
 
-Assertion random_policy(Rng& rng, const std::vector<std::string>& values,
-                        bool one_line = false) {
-  return random_assertion(rng, values, "POLICY", one_line);
+Assertion random_policy(Rng& rng, const std::vector<std::string>& values) {
+  return random_assertion(rng, values, "POLICY");
 }
 
-Assertion random_credential(Rng& rng, const std::vector<std::string>& values,
-                            bool one_line = false) {
-  return random_assertion(rng, values, "\"" + principal(rng) + "\"",
-                          one_line);
+Assertion random_credential(Rng& rng, const std::vector<std::string>& values) {
+  return random_assertion(rng, values, "\"" + principal(rng) + "\"");
 }
 
 GeneratedCase generate(Rng& rng) {
@@ -319,10 +310,10 @@ TEST_P(BytecodeDifferential, InterleavedMutationsMatchReference) {
       case 6: {
         std::string bundle;
         for (std::size_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
-          bundle += random_policy(rng, values, true).to_text() + "\n";
+          bundle += random_policy(rng, values).to_text() + "\n";
         }
         for (std::size_t i = 0, n = rng.below(12); i < n; ++i) {
-          bundle += random_credential(rng, values, true).to_text() + "\n";
+          bundle += random_credential(rng, values).to_text() + "\n";
         }
         ASSERT_TRUE(store.install_bundle(bundle, before + rng.below(3), false)
                         .ok())

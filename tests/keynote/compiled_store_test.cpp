@@ -396,15 +396,6 @@ TEST(CompiledStore, RemoveByAuthorizer) {
   EXPECT_EQ(store.credential_count(), 1u);
 }
 
-TEST(CompiledStore, CredentialsByAuthorizer) {
-  CompiledStore store;
-  ASSERT_TRUE(store.add_credential(credential("Ka", "Kb", "true")).ok());
-  ASSERT_TRUE(store.add_credential(credential("Kd", "Ke", "true")).ok());
-  EXPECT_EQ(store.credentials_by_authorizer(ring().principal("Ka")).size(),
-            1u);
-  EXPECT_EQ(store.credentials_by_authorizer("nobody").size(), 0u);
-}
-
 TEST(CompiledStore, QueryUsesStoredAndPresented) {
   CompiledStore store;
   ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());

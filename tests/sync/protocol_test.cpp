@@ -30,11 +30,14 @@ TEST(SyncProtocol, EmptyBatchRoundTrips) {
 }
 
 TEST(SyncProtocol, UnknownDeltaKindRejected) {
-  DeltaBatch batch;
-  batch.deltas.push_back({1, static_cast<DeltaKind>(200), "x"});
-  auto decoded = DeltaBatch::decode(batch.encode());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.error().code, "wire");
+  // 3 sits between assigned kinds but is not one of them.
+  for (std::uint8_t kind : {std::uint8_t{3}, std::uint8_t{200}}) {
+    DeltaBatch batch;
+    batch.deltas.push_back({1, static_cast<DeltaKind>(kind), "x"});
+    auto decoded = DeltaBatch::decode(batch.encode());
+    ASSERT_FALSE(decoded.ok()) << "kind " << int{kind};
+    EXPECT_EQ(decoded.error().code, "wire");
+  }
 }
 
 TEST(SyncProtocol, TrailingBytesRejected) {

@@ -145,10 +145,58 @@ TEST(Replication, DeltaApplicationIsIdempotentUnderDuplicateDelivery) {
   // Every delta arrived (at least) twice; the store applied each once.
   EXPECT_EQ(replica_store.version(), authority_store.version());
   EXPECT_EQ(replica_store.credential_count(), 6u);
+  // wait_for_epoch returns on the first copy of the last delta. Its second
+  // copy — or, when the authority handled the subscribe after the
+  // publishes, the second copy of the whole replayed batch — may still be
+  // queued, so the duplicate count reaches 7 a moment later.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (replica.stats().duplicates_ignored < 7 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
   auto stats = replica.stats();
   EXPECT_EQ(stats.deltas_applied, 7u);
   EXPECT_GE(stats.duplicates_ignored, 7u);
   EXPECT_EQ(stats.apply_errors, 0u);
+}
+
+TEST(Replication, MultiLineCredentialAppliesAtAVerifyingReplica) {
+  net::Network net;
+  keynote::CompiledStore authority_store;
+  keynote::CompiledStore replica_store;
+  Authority authority(net, "auth", authority_store, fast_authority());
+  Replica replica(net, "rep", replica_store, fast_replica());
+  ASSERT_TRUE(authority.start().ok());
+  ASSERT_TRUE(replica.subscribe("auth").ok());
+
+  ASSERT_TRUE(
+      authority.publish_policy_text(trust_policy(ring().principal("KAdm")))
+          .ok());
+  // Conditions written over several lines, unindented and indented: the
+  // delta carries to_text(), which the replica parses and re-verifies.
+  ASSERT_TRUE(authority
+                  .publish_credential(
+                      keynote::AssertionBuilder()
+                          .authorizer("\"" + ring().principal("KAdm") + "\"")
+                          .licensees("\"" + ring().principal("KMulti") + "\"")
+                          .conditions("app_domain == \"WebCom\" &&\n"
+                                      "ObjectType == \"\" &&\n"
+                                      "    Permission == \"\"")
+                          .build_signed(ring().identity("KAdm"))
+                          .take())
+                  .ok());
+  ASSERT_TRUE(replica.wait_for_epoch(authority.epoch(), 2s));
+  EXPECT_EQ(replica.stats().apply_errors, 0u);
+  EXPECT_EQ(replica_store.credential_count(), 1u);
+  authz::KeyNoteAuthorizer at_replica(replica_store);
+  EXPECT_TRUE(at_replica.decide(request_for("KMulti")).permitted());
+
+  // The anti-entropy snapshot path verifies the same text.
+  keynote::CompiledStore installed;
+  EXPECT_TRUE(installed
+                  .install_bundle(authority_store.to_bundle_text(),
+                                  authority.epoch())
+                  .ok());
 }
 
 TEST(Replication, ReorderedDeltasAreBufferedAndAppliedInOrder) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/rng.hpp"
-
 namespace mwsec::webcom {
 namespace {
 
@@ -152,54 +150,6 @@ TEST(Engine, NestedCondensations) {
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(*v, "42");
   EXPECT_EQ(stats.condensations_evaporated, 2u);
-}
-
-Graph random_dag(std::uint64_t seed, std::size_t n) {
-  util::Rng rng(seed);
-  Graph g;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i < 2) {
-      g.add_constant("c" + std::to_string(i), std::to_string(rng.below(100)));
-    } else {
-      NodeId id = g.add_node("n" + std::to_string(i), "add", 2);
-      g.connect(rng.below(i), id, 0).ok();
-      g.connect(rng.below(i), id, 1).ok();
-    }
-  }
-  g.set_exit(n - 1).ok();
-  return g;
-}
-
-class ParallelAgreement : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ParallelAgreement, ParallelMatchesSequentialOnRandomDags) {
-  Graph g = random_dag(GetParam(), 40);
-  auto seq = evaluate(g, reg());
-  ASSERT_TRUE(seq.ok()) << seq.error().message;
-  for (std::size_t workers : {1u, 2u, 4u}) {
-    auto par = evaluate_parallel(g, reg(), workers);
-    ASSERT_TRUE(par.ok()) << par.error().message;
-    EXPECT_EQ(*par, *seq) << "workers=" << workers;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelAgreement,
-                         ::testing::Range<std::uint64_t>(1, 9));
-
-TEST(EngineParallel, PropagatesFailures) {
-  Graph g;
-  NodeId bad = g.add_node("bad", "add", 2);
-  g.set_literal(bad, 0, "x").ok();
-  g.set_literal(bad, 1, "1").ok();
-  g.set_exit(bad).ok();
-  EXPECT_FALSE(evaluate_parallel(g, reg(), 4).ok());
-}
-
-TEST(EngineParallel, CountsFiredNodes) {
-  EvalStats stats;
-  auto v = evaluate_parallel(arithmetic_graph(), reg(), 3, &stats);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(stats.nodes_fired, 4u);
 }
 
 }  // namespace

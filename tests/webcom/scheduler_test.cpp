@@ -277,6 +277,82 @@ TEST(Scheduler, ClientRejectsUntrustedMaster) {
   EXPECT_GT(client.stats().tasks_rejected, 0u);
 }
 
+/// Figure 3's client-side check through per-task credentials: the client
+/// trusts only an admin key, and the master ships `outbound` with every
+/// task to prove the admin delegated scheduling to it.
+struct DelegatedRun {
+  mwsec::Result<Value> value;
+  ClientStats client;
+};
+
+DelegatedRun run_with_master_credentials(const std::string& outbound) {
+  net::Network network;
+  const auto& master_id = ring().identity("KDelegatedMaster");
+  MasterOptions mopts;
+  mopts.task_timeout = 150ms;
+  Master master(network, "md", master_id, mopts);
+  master.set_outbound_credentials(outbound);
+
+  const auto& cid = ring().identity("Kadmin_trusting");
+  ClientOptions copts;
+  copts.domain = "Finance";
+  copts.role = "Manager";
+  copts.user = "u";
+  Client client(network, "cd", cid, OperationRegistry::with_builtins(), copts);
+  EXPECT_TRUE(client.store()
+                  .add_policy_text(trust_everything(ring().principal("KAdmin")))
+                  .ok());
+  EXPECT_TRUE(client.start().ok());
+
+  EXPECT_TRUE(
+      master.store().add_policy_text(trust_everything(cid.principal())).ok());
+  ClientInfo info{"cd", cid.principal(), {}, "Finance", "Manager", "u"};
+  EXPECT_TRUE(master.attach_client(info).ok());
+  auto value = master.execute(arithmetic_graph());
+  client.stop();
+  return {std::move(value), client.stats()};
+}
+
+std::string admin_delegates_to_master() {
+  return keynote::AssertionBuilder()
+      .authorizer("\"" + ring().principal("KAdmin") + "\"")
+      .licensees("\"" + ring().principal("KDelegatedMaster") + "\"")
+      .conditions("app_domain == \"WebCom\"")
+      .build_signed(ring().identity("KAdmin"))
+      .take()
+      .to_text();
+}
+
+TEST(Scheduler, ClientHonoursAdminDelegationShippedByMaster) {
+  auto run = run_with_master_credentials(admin_delegates_to_master());
+  ASSERT_TRUE(run.value.ok()) << run.value.error().message;
+  EXPECT_EQ(*run.value, "20");
+  EXPECT_EQ(run.client.tasks_executed, 4u);
+  EXPECT_EQ(run.client.tasks_rejected, 0u);
+}
+
+TEST(Scheduler, ClientRefusesTamperedMasterCredentials) {
+  std::string tampered = admin_delegates_to_master();
+  // Flip the last hex digit of the signature.
+  const auto last = tampered.find_last_not_of('\n');
+  tampered[last] = tampered[last] == '0' ? '1' : '0';
+  auto run = run_with_master_credentials(tampered);
+  ASSERT_FALSE(run.value.ok());
+  EXPECT_EQ(run.value.error().code, "denied");
+  EXPECT_GT(run.client.tasks_rejected, 0u);
+  EXPECT_EQ(run.client.tasks_executed, 0u);
+}
+
+TEST(Scheduler, ClientRefusesUnparseableMasterCredentials) {
+  auto run = run_with_master_credentials("not an assertion\n");
+  ASSERT_FALSE(run.value.ok());
+  EXPECT_EQ(run.value.error().code, "denied");
+  EXPECT_NE(run.value.error().message.find("bad credential bundle"),
+            std::string::npos)
+      << run.value.error().message;
+  EXPECT_GT(run.client.tasks_rejected, 0u);
+}
+
 TEST(Scheduler, FaultToleranceReschedulesAfterClientDeath) {
   auto rig = make_rig(2, /*security=*/false);
   // Kill c0 before execution: its tasks will time out and move to c1.
