@@ -8,7 +8,6 @@
 #include <cstdlib>
 
 #include "net/network.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "webcom/scheduler.hpp"
 
@@ -126,30 +125,6 @@ BENCHMARK(BM_Fig3_SchedulingSecure)
     ->Args({8, 4})
     ->Args({32, 4})
     ->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Fig3_FlightArmedSecureScheduling(benchmark::State& state) {
-  // The secure 128x4 workload (identical to BM_Fig3_SchedulingSecure/128/4)
-  // with the flight recorder ARMED but idle: no thresholds, no dumps,
-  // metrics off. Every decision pays one steady_clock pair plus a
-  // ring-slot write. Compare against SchedulingSecure/128/4 — the
-  // acceptance bound is <= 2% overhead.
-  auto& recorder = obs::FlightRecorder::global();
-  recorder.clear_thresholds();
-  recorder.arm();
-  Rig rig(4, /*security=*/true);
-  webcom::Graph g = wide_graph(128, true);
-  for (auto _ : state) {
-    auto v = rig.master->execute(g);
-    if (!v.ok()) state.SkipWithError(v.error().message.c_str());
-    benchmark::DoNotOptimize(v);
-  }
-  recorder.disarm();
-  state.SetItemsProcessed(state.iterations() * 129);
-  state.counters["flight_events"] =
-      static_cast<double>(recorder.stats().events);
-}
-BENCHMARK(BM_Fig3_FlightArmedSecureScheduling)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Fig3_ObservedSecureScheduling(benchmark::State& state) {

@@ -1,10 +1,7 @@
 #include "authz/caching.hpp"
 
-#include <chrono>
 #include <functional>
 #include <mutex>
-
-#include "obs/flight_recorder.hpp"
 
 namespace mwsec::authz {
 
@@ -76,24 +73,7 @@ void CachingAuthorizer::set_epoch_provenance(
 }
 
 Verdict CachingAuthorizer::decide(const Request& request) const {
-  // Timing wrapper: one clock pair feeds both the decide-latency
-  // histogram (metrics on) and the flight recorder (armed). With both
-  // off — the default — this is two relaxed loads and a tail call.
-  auto& recorder = obs::FlightRecorder::global();
-  const bool timed = recorder.armed() || obs::metrics_enabled();
-  if (!timed) return decide_impl(request);
-  const auto t0 = std::chrono::steady_clock::now();
-  Verdict verdict = decide_impl(request);
-  const double us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  decide_us_histogram().observe(us);
-  recorder.record(obs::FlightKind::kDecision, us,
-                  obs::current_context().trace_id);
-  return verdict;
-}
-
-Verdict CachingAuthorizer::decide_impl(const Request& request) const {
+  obs::ScopedTimer timer(decide_us_histogram());
   if (!request.credentials.empty()) {
     bypasses_.fetch_add(1, kRelaxed);
     return inner_.decide(request);

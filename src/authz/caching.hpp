@@ -94,7 +94,6 @@ class CachingAuthorizer final : public Authorizer {
 
   static std::string cache_key(const Request& request);
   Shard& shard_for(const Request& request) const;
-  Verdict decide_impl(const Request& request) const;
 
   const Authorizer& inner_;
   std::string metric_prefix_;

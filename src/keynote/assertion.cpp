@@ -224,7 +224,11 @@ std::string Assertion::signed_body() const {
   if (!local_constants_.empty()) {
     out += "Local-Constants:";
     for (const auto& [name, value] : local_constants_) {
-      out += " " + name + "=\"" + util::replace_all(value, "\"", "\\\"") + "\"";
+      // parse_constants_text reads `\x` as `x`, so `\` needs the escape
+      // as much as `"` does.
+      const std::string escaped = util::replace_all(
+          util::replace_all(value, "\\", "\\\\"), "\"", "\\\"");
+      out += " " + name + "=\"" + escaped + "\"";
     }
     out += "\n";
   }

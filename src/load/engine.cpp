@@ -9,6 +9,7 @@
 #include "translate/directory.hpp"
 #include "translate/migration.hpp"
 #include "translate/rbac_to_keynote.hpp"
+#include "util/strings.hpp"
 
 namespace mwsec::load {
 
@@ -19,28 +20,6 @@ using Clock = std::chrono::steady_clock;
 double us_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0)
       .count();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Process-wide observability mirror: the same counters per-phase local
@@ -94,14 +73,14 @@ std::uint64_t RunReport::total_violations() const {
 
 std::string RunReport::to_json() const {
   std::ostringstream os;
-  os << "{\"scenario\":\"" << json_escape(scenario) << "\""
-     << ",\"surface\":\"" << json_escape(surface) << "\""
+  os << "{\"scenario\":\"" << util::json_escape(scenario) << "\""
+     << ",\"surface\":\"" << util::json_escape(surface) << "\""
      << ",\"seed\":" << seed << ",\"principals\":" << principals
      << ",\"pass\":" << (pass ? "true" : "false") << ",\"phases\":[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const auto& p = phases[i];
     if (i != 0) os << ",";
-    os << "{\"name\":\"" << json_escape(p.name) << "\""
+    os << "{\"name\":\"" << util::json_escape(p.name) << "\""
        << ",\"completed\":" << (p.completed ? "true" : "false")
        << ",\"requests\":" << p.requests << ",\"permits\":" << p.permits
        << ",\"denies\":" << p.denies << ",\"stale\":" << p.stale
@@ -117,7 +96,7 @@ std::string RunReport::to_json() const {
        << ",\"duration_ms\":" << p.duration_ms << ",\"violation_samples\":[";
     for (std::size_t j = 0; j < p.violation_samples.size(); ++j) {
       if (j != 0) os << ",";
-      os << "\"" << json_escape(p.violation_samples[j]) << "\"";
+      os << "\"" << util::json_escape(p.violation_samples[j]) << "\"";
     }
     os << "]}";
   }

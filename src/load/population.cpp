@@ -63,7 +63,7 @@ std::string Population::principal(std::size_t i) const {
 }
 
 std::string Population::domain_name(std::size_t d) const {
-  char buf[16];
+  char buf[32];  // "Dept" and up to 20 digits
   std::snprintf(buf, sizeof buf, "Dept%02zu", d);
   return buf;
 }

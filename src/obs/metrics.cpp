@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "util/strings.hpp"
+
 namespace mwsec::obs {
 
 namespace {
@@ -29,31 +31,6 @@ void atomic_max_double(std::atomic<double>& a, double v) {
   while (v > cur &&
          !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-/// Minimal JSON string escaping (names and labels are ASCII identifiers,
-/// but be safe about quotes/backslashes/control bytes).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string fmt_double(double v) {
@@ -289,20 +266,20 @@ std::string render_json(const Registry::Snapshot& snapshot) {
   os << "{\"counters\":{";
   for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
     if (i != 0) os << ",";
-    os << "\"" << json_escape(snapshot.counters[i].first)
+    os << "\"" << util::json_escape(snapshot.counters[i].first)
        << "\":" << snapshot.counters[i].second;
   }
   os << "},\"gauges\":{";
   for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
     if (i != 0) os << ",";
-    os << "\"" << json_escape(snapshot.gauges[i].first)
+    os << "\"" << util::json_escape(snapshot.gauges[i].first)
        << "\":" << snapshot.gauges[i].second;
   }
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     if (i != 0) os << ",";
     const auto& [name, h] = snapshot.histograms[i];
-    os << "\"" << json_escape(name) << "\":{\"count\":" << h.count
+    os << "\"" << util::json_escape(name) << "\":{\"count\":" << h.count
        << ",\"sum\":" << fmt_double(h.sum)
        << ",\"mean\":" << fmt_double(h.mean())
        << ",\"min\":" << fmt_double(h.min) << ",\"max\":" << fmt_double(h.max)
@@ -319,7 +296,7 @@ bool append_snapshot_jsonl(const std::string& path, std::string_view label,
   if (f == nullptr) return false;
   std::string body = render_json(snapshot);
   // Splice the label into the leading object: {"label":"...", <body sans {>.
-  std::string line = "{\"label\":\"" + json_escape(label) + "\"," +
+  std::string line = "{\"label\":\"" + util::json_escape(label) + "\"," +
                      body.substr(1) + "\n";
   bool ok = std::fwrite(line.data(), 1, line.size(), f) == line.size();
   ok = std::fclose(f) == 0 && ok;

@@ -5,6 +5,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/strings.hpp"
+
 namespace mwsec::obs {
 
 namespace {
@@ -13,15 +15,6 @@ std::string fmt_double(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 const Histogram::Snapshot* find_histogram(const Registry::Snapshot& snapshot,
@@ -145,11 +138,11 @@ std::string SloReport::to_json() const {
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (i != 0) os << ",";
     const SloResult& r = results[i];
-    os << "{\"name\":\"" << json_escape(r.name) << "\",\"kind\":\"" << r.kind
-       << "\",\"pass\":" << (r.pass ? "true" : "false")
+    os << "{\"name\":\"" << util::json_escape(r.name) << "\",\"kind\":\""
+       << r.kind << "\",\"pass\":" << (r.pass ? "true" : "false")
        << ",\"value\":" << fmt_double(r.value)
        << ",\"threshold\":" << fmt_double(r.threshold) << ",\"detail\":\""
-       << json_escape(r.detail) << "\"}";
+       << util::json_escape(r.detail) << "\"}";
   }
   os << "]}";
   return os.str();

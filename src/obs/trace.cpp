@@ -1,36 +1,13 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace mwsec::obs {
 
 namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One steady-clock origin per process (fixed at first use). Every span
 /// timestamp is relative to this, never to a tracer's creation time —
@@ -75,15 +52,15 @@ const std::string* SpanRecord::attr(std::string_view key) const {
 std::string SpanRecord::to_json() const {
   std::ostringstream os;
   os << "{\"trace_id\":" << trace_id << ",\"id\":" << id
-     << ",\"parent\":" << parent << ",\"name\":\"" << json_escape(name)
+     << ",\"parent\":" << parent << ",\"name\":\"" << util::json_escape(name)
      << "\",\"start_ns\":" << start_ns << ",\"duration_ns\":" << duration_ns
-     << ",\"status\":\"" << json_escape(status) << "\"";
+     << ",\"status\":\"" << util::json_escape(status) << "\"";
   if (!attrs.empty()) {
     os << ",\"attrs\":{";
     for (std::size_t i = 0; i < attrs.size(); ++i) {
       if (i != 0) os << ",";
-      os << "\"" << json_escape(attrs[i].first) << "\":\""
-         << json_escape(attrs[i].second) << "\"";
+      os << "\"" << util::json_escape(attrs[i].first) << "\":\""
+         << util::json_escape(attrs[i].second) << "\"";
     }
     os << "}";
   }

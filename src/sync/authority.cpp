@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -70,7 +69,8 @@ void Authority::stop() {
   }
 }
 
-void Authority::publish_locked(Delta d) {
+void Authority::publish_locked(DeltaKind kind, std::string body) {
+  Delta d{store_.version(), kind, std::move(body), {}};
   auto& metrics = AuthorityMetrics::get();
   ++stats_.deltas_published;
   metrics.deltas_published.inc();
@@ -85,15 +85,17 @@ void Authority::publish_locked(Delta d) {
     span.set_status("published");
     d.ctx = span.context();
   }
-  log_.push_back(std::move(d));
-  while (log_.size() > options_.max_log) log_.pop_front();
-  if (endpoint_ == nullptr) return;
   DeltaBatch batch;
-  batch.deltas.push_back(log_.back());
+  batch.deltas.push_back(d);
+  log_.push_back(std::move(d));
+  // send_missing_locked replays at most snapshot_lag entries, always the
+  // newest ones, so anything older is never read.
+  while (log_.size() > options_.snapshot_lag) log_.pop_front();
+  if (endpoint_ == nullptr) return;
   auto payload = batch.encode();
   auto now = std::chrono::steady_clock::now();
   for (auto& [name, state] : replicas_) {
-    endpoint_->send(name, kSubjectDelta, payload, log_.back().ctx)
+    endpoint_->send(name, kSubjectDelta, payload, batch.deltas.front().ctx)
         .ok();  // loss → retransmit
     state.last_send = now;
     ++stats_.deltas_sent;
@@ -110,7 +112,7 @@ mwsec::Status Authority::publish_policy_text(std::string_view text) {
     const auto before = store_.version();
     if (auto s = store_.add_policy(std::move(a)); !s.ok()) return s;
     if (store_.version() == before) continue;
-    publish_locked({store_.version(), DeltaKind::kAddPolicy, body});
+    publish_locked(DeltaKind::kAddPolicy, body);
   }
   return {};
 }
@@ -126,7 +128,7 @@ mwsec::Status Authority::publish_credential(keynote::Assertion assertion) {
   }
   // Idempotent re-add: the store did not move, so there is nothing to say.
   if (store_.version() == before) return {};
-  publish_locked({store_.version(), DeltaKind::kAddCredential, body});
+  publish_locked(DeltaKind::kAddCredential, body);
   return {};
 }
 
@@ -134,7 +136,7 @@ std::size_t Authority::revoke_matching(const std::string& text) {
   std::scoped_lock lock(mu_);
   auto removed = store_.remove_matching(text);
   if (removed != 0) {
-    publish_locked({store_.version(), DeltaKind::kRevokeMatching, text});
+    publish_locked(DeltaKind::kRevokeMatching, text);
   }
   return removed;
 }
@@ -143,8 +145,7 @@ std::size_t Authority::revoke_by_licensee(const std::string& principal) {
   std::scoped_lock lock(mu_);
   auto removed = store_.remove_by_licensee(principal);
   if (removed != 0) {
-    publish_locked(
-        {store_.version(), DeltaKind::kRevokeByLicensee, principal});
+    publish_locked(DeltaKind::kRevokeByLicensee, principal);
   }
   return removed;
 }
@@ -183,9 +184,6 @@ void Authority::send_missing_locked(const std::string& replica,
       if (retransmission) {
         ++stats_.retransmits;
         metrics.retransmits.inc();
-        obs::FlightRecorder::global().record(
-            obs::FlightKind::kRetransmit, static_cast<double>(gap),
-            batch.deltas.front().ctx.trace_id, state.acked);
       }
       return;
     }

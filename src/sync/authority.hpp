@@ -34,10 +34,8 @@ struct AuthorityOptions {
   std::chrono::milliseconds poll_interval{10};
   /// Unacked deltas are retransmitted after this much silence per replica.
   std::chrono::milliseconds retransmit_interval{40};
-  /// Older log entries are trimmed; catch-up past them is by snapshot.
-  std::size_t max_log = 4096;
   /// A replica behind by more than this many epochs is caught up with a
-  /// snapshot even if the log could replay the gap.
+  /// snapshot; the log keeps only this many entries.
   std::uint64_t snapshot_lag = 128;
   /// Verify credential signatures at publish admission. An authority
   /// that *mints* what it publishes (e.g. the load harness's admin point
@@ -99,8 +97,9 @@ class Authority {
 
   void serve(std::stop_token st);
   void handle(const net::Message& m);
-  /// Append + broadcast one published delta. Caller holds mu_.
-  void publish_locked(Delta d);
+  /// Append + broadcast the delta for a store mutation just made, at the
+  /// store's new version. Caller holds mu_.
+  void publish_locked(DeltaKind kind, std::string body);
   /// Bring `replica` up to date: replay the log suffix when it bridges
   /// the gap, else serve a snapshot. Caller holds mu_. `retransmission`
   /// marks sends beyond the initial broadcast for the stats.

@@ -1,6 +1,5 @@
 #include "sync/replica.hpp"
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -8,6 +7,9 @@
 namespace mwsec::sync {
 
 namespace {
+
+/// Out-of-order deltas held while waiting for the gap to fill.
+constexpr std::size_t kMaxBuffered = 256;
 
 struct ReplicaMetrics {
   obs::Counter& deltas_applied;
@@ -164,9 +166,6 @@ void Replica::apply_locked(const Delta& d) {
   last_applied_ctx_ = span.context();
   ++stats_.deltas_applied;
   ReplicaMetrics::get().deltas_applied.inc();
-  obs::FlightRecorder::global().record(obs::FlightKind::kDeltaApply,
-                                       static_cast<double>(d.epoch),
-                                       d.ctx.trace_id, d.epoch);
   cv_.notify_all();
 }
 
@@ -211,7 +210,7 @@ void Replica::handle(const net::Message& m) {
       } else if (d.epoch == applied_ + 1) {
         apply_locked(d);
         drain_buffer_locked();
-      } else if (buffer_.size() < options_.max_buffered) {
+      } else if (buffer_.size() < kMaxBuffered) {
         // Out of order: hold it until the gap fills (or a snapshot
         // supersedes it). The cumulative ack below tells the authority
         // where the gap starts, and its retransmit loop closes it.

@@ -42,8 +42,6 @@ struct ReplicaOptions {
   /// (credentials are self-certifying); an authenticated channel from
   /// an authority that verified at admission may turn this off.
   bool verify_signatures = true;
-  /// Out-of-order deltas held while waiting for the gap to fill.
-  std::size_t max_buffered = 256;
 };
 
 class Replica {

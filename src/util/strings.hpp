@@ -41,6 +41,11 @@ bool is_number(std::string_view s);
 /// without a trailing ".0", otherwise shortest round-trip form.
 std::string number_to_string(double v);
 
+/// `s` as the inside of a JSON string literal: `"` and `\` escaped, and
+/// every byte below 0x20 as \n, \r, \t or \u00XX. Other bytes, UTF-8
+/// included, pass through.
+std::string json_escape(std::string_view s);
+
 /// Levenshtein edit distance; used by the similarity metrics in translate/.
 std::size_t edit_distance(std::string_view a, std::string_view b);
 

@@ -6,7 +6,6 @@
 #include <deque>
 #include <set>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -313,7 +312,7 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
     inflight[task.task_id] =
         Pending{id, chosen->endpoint,
                 std::chrono::steady_clock::now() + options_.task_timeout,
-                attempts[id], std::move(task_span)};
+                std::move(task_span)};
     if (!send.ok()) {
       MWSEC_LOG(kWarn, "webcom")
           << "dispatch of " << node.name << " to " << chosen->endpoint
@@ -407,13 +406,6 @@ mwsec::Result<Value> Master::execute(const Graph& graph) {
       stats_.tasks_timed_out.fetch_add(1, std::memory_order_relaxed);
       metrics.tasks_timed_out.inc();
       metrics.quarantines.inc();
-      // Anomaly: a quarantine is always worth a flight-recorder entry (and
-      // a dump, if a kQuarantine threshold is armed) — the ring keeps the
-      // decisions and deliveries leading up to it.
-      obs::FlightRecorder::global().record(
-          obs::FlightKind::kQuarantine,
-          static_cast<double>(it->second.attempts),
-          it->second.span.trace_id(), it->second.node);
       MWSEC_LOG(kInfo, "webcom")
           << "task on " << it->second.client_endpoint
           << " timed out; quarantining client";

@@ -111,7 +111,6 @@ class Master {
     NodeId node;
     std::string client_endpoint;
     std::chrono::steady_clock::time_point deadline;
-    int attempts;
     /// Open span covering this dispatch, finished when the task
     /// completes, is denied, or times out. Inert when tracing is off.
     obs::Span span;

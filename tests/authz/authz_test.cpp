@@ -218,6 +218,45 @@ TEST(CachingAuthorizer, ExplicitInvalidateForcesRequery) {
   EXPECT_GE(cache.stats().invalidations, 1u);
 }
 
+TEST(CachingAuthorizer, TimesEveryDecideIntoTheDecideHistogram) {
+  // Hits, misses and bypasses each add one authz.decide_us sample while
+  // metrics are on, and none while they are off.
+  struct RestoreMetricsFlag {
+    bool was = obs::metrics_enabled();
+    ~RestoreMetricsFlag() { obs::set_metrics_enabled(was); }
+  } restore;
+  auto& decide_us = obs::Registry::global().histogram("authz.decide_us");
+  FakeBackend backend;
+  CachingAuthorizer cache(backend);
+  const auto alice = salaries_request("kalice", "read");
+  const auto bob = salaries_request("kbob", "write");
+  auto presenting = alice;
+  presenting.credentials.push_back(
+      keynote::Assertion::parse(
+          "Authorizer: \"kwebcom\"\nLicensees: \"kalice\"\n")
+          .take());
+
+  obs::set_metrics_enabled(true);
+  const auto before = decide_us.count();
+  cache.decide(alice);       // miss
+  cache.decide(alice);       // hit
+  cache.decide(bob);         // miss
+  cache.decide(alice);       // hit
+  cache.decide(presenting);  // bypass
+  EXPECT_EQ(decide_us.count() - before, 5u);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.bypasses, 1u);
+
+  obs::set_metrics_enabled(false);
+  const auto off = decide_us.count();
+  cache.decide(alice);
+  cache.decide(salaries_request("kcarol", "read"));
+  cache.decide(presenting);
+  EXPECT_EQ(decide_us.count(), off);
+}
+
 TEST(CachingAuthorizer, ForwardsNameEpochAndExplain) {
   FakeBackend backend;
   backend.set_epoch(42);

@@ -266,5 +266,51 @@ TEST(AssertionBuilder, RefusesNewlineInLocalConstant) {
                    .ok());
 }
 
+TEST(AssertionBuilder, BackslashAndQuoteInLocalConstantSurviveTextRoundTrip) {
+  for (const std::string value :
+       {"C:\\share", "say \"hi\"", "\\\"", "\"\\", "a\\\\b\\"}) {
+    auto a = AssertionBuilder()
+                 .authorizer("POLICY")
+                 .constant("V", value)
+                 .licensees("\"K1\"")
+                 .build();
+    ASSERT_TRUE(a.ok()) << a.error().message;
+    auto reparsed = Assertion::parse(a->to_text());
+    ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
+    ASSERT_NE(reparsed->find_constant("V"), nullptr);
+    EXPECT_EQ(*reparsed->find_constant("V"), value);
+    EXPECT_EQ(reparsed->to_text(), a->to_text());
+  }
+}
+
+TEST(AssertionBuilder, ConstantWithoutBackslashSerialisesUnchanged) {
+  // Only a backslash gained an escape, so the signed body of every other
+  // value, and with it every existing signature, is what it was.
+  auto a = AssertionBuilder()
+               .authorizer("POLICY")
+               .constant("V", "say \"hi\"")
+               .licensees("\"K1\"")
+               .build();
+  ASSERT_TRUE(a.ok()) << a.error().message;
+  EXPECT_NE(a->to_text().find("Local-Constants: V=\"say \\\"hi\\\"\"\n"),
+            std::string::npos)
+      << a->to_text();
+}
+
+TEST(AssertionBuilder, SignedBackslashConstantVerifiesAfterRoundTrip) {
+  const auto& bob = ring().identity("Kbob");
+  auto a = AssertionBuilder()
+               .authorizer("\"" + bob.principal() + "\"")
+               .constant("DIR", "C:\\share")
+               .licensees("\"Kalice\"")
+               .conditions("dir == DIR")
+               .build_signed(bob)
+               .take();
+  ASSERT_TRUE(a.verify().ok());
+  auto reparsed = Assertion::parse(a.to_text());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.error().message;
+  EXPECT_TRUE(reparsed->verify().ok());
+}
+
 }  // namespace
 }  // namespace mwsec::keynote

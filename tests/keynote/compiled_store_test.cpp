@@ -418,6 +418,35 @@ TEST(CompiledStore, BundleRoundTrip) {
   EXPECT_EQ(bundle->size(), 2u);
 }
 
+TEST(CompiledStore, VerifyingInstallAcceptsSignedBackslashConstant) {
+  // A snapshot ships the store as bundle text; a signed credential whose
+  // Local-Constants value holds a backslash must still verify after it.
+  CompiledStore source;
+  ASSERT_TRUE(source.add_policy(policy_for("Ka", "true")).ok());
+  ASSERT_TRUE(source
+                  .add_credential(
+                      AssertionBuilder()
+                          .authorizer("\"" + ring().principal("Ka") + "\"")
+                          .constant("DIR", "C:\\share")
+                          .licensees("\"" + ring().principal("Kb") + "\"")
+                          .conditions("dir == DIR")
+                          .build_signed(ring().identity("Ka"))
+                          .take())
+                  .ok());
+
+  CompiledStore replica;
+  auto s = replica.install_bundle(source.to_bundle_text(), /*version=*/7,
+                                  /*verify_signatures=*/true);
+  ASSERT_TRUE(s.ok()) << s.error().message;
+  EXPECT_EQ(replica.credential_count(), 1u);
+  Query q;
+  q.action_authorizers = {ring().principal("Kb")};
+  q.env.set("dir", "C:\\share");
+  EXPECT_TRUE(replica.query(q)->authorized());
+  q.env.set("dir", "C:share");
+  EXPECT_FALSE(replica.query(q)->authorized());
+}
+
 TEST(CompiledStore, ClearEmptiesEverything) {
   CompiledStore store;
   ASSERT_TRUE(store.add_policy(policy_for("Ka", "true")).ok());

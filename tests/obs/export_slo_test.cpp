@@ -226,6 +226,29 @@ TEST(SloTest, ReportJsonCarriesEveryObjective) {
   EXPECT_NE(json.find("\"threshold\":1"), std::string::npos);
 }
 
+TEST(SloTest, ReportJsonEscapesControlBytesInNamesAndDetails) {
+  // A raw newline inside a JSON string is invalid JSON: the report must
+  // stay parseable whatever an objective's detail says.
+  SloReport report;
+  SloResult r;
+  r.name = "lag\tp99";
+  r.kind = "span_gap_max_us";
+  r.detail = "no trace pairs\nsee \"sync.publish\"";
+  report.results.push_back(r);
+  const auto json = report.to_json();
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"lag\\tp99\""), std::string::npos);
+  EXPECT_NE(
+      json.find("\"detail\":\"no trace pairs\\nsee \\\"sync.publish\\\"\""),
+      std::string::npos)
+      << json;
+}
+
 TEST(SloTest, DefaultObjectivesCoverTheRevocationScenario) {
   auto objectives = default_slo_objectives();
   ASSERT_EQ(objectives.size(), 5u);

@@ -1,8 +1,11 @@
 // Anti-entropy: a replica that the delta log cannot catch up — partitioned
 // past `snapshot_lag`, or behind a version hole from a direct store
 // mutation — reconverges via a full snapshot, ending at exact version
-// parity and identical verdicts.
+// parity and identical verdicts; one exactly `snapshot_lag` behind is
+// still replayed from the log.
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "authz/keynote_authorizer.hpp"
 #include "net/network.hpp"
@@ -96,6 +99,90 @@ TEST(AntiEntropy, PartitionedReplicaReconvergesViaSnapshot) {
   expect_same_verdicts(authority_store, replica_store, keys);
 }
 
+TEST(AntiEntropy, GapOfExactlySnapshotLagIsReplayedFromTheLog) {
+  // The log keeps the newest snapshot_lag deltas, which is every delta a
+  // replica at most snapshot_lag epochs behind still needs.
+  net::Network net;
+  keynote::CompiledStore authority_store;
+  keynote::CompiledStore replica_store;
+  Authority::Options aopts;
+  aopts.poll_interval = 2ms;
+  aopts.retransmit_interval = 10ms;
+  aopts.snapshot_lag = 4;
+  Authority authority(net, "auth", authority_store, aopts);
+  Replica::Options ropts;
+  ropts.poll_interval = 2ms;
+  ropts.heartbeat_interval = 10ms;
+  Replica replica(net, "rep", replica_store, ropts);
+  ASSERT_TRUE(authority.start().ok());
+  ASSERT_TRUE(replica.subscribe("auth").ok());
+
+  ASSERT_TRUE(
+      authority.publish_policy_text(trust_policy(ring().principal("KAdm")))
+          .ok());
+  ASSERT_TRUE(replica.wait_for_epoch(authority.epoch(), 2s));
+  // Wait for the authority to read the replica's ack too, so the gap
+  // below is measured from the epoch the authority knows about.
+  const auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (authority.replica_lag() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(authority.replica_lag(), 0u);
+
+  net.set_partitioned("auth", "rep", true);
+  const auto before = replica.epoch();
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4; ++i) {
+    std::string key = "KLag" + std::to_string(i);
+    ASSERT_TRUE(authority.publish_credential(delegation("KAdm", key)).ok());
+    keys.push_back(key);
+  }
+  ASSERT_EQ(authority.epoch(), before + aopts.snapshot_lag);
+
+  net.set_partitioned("auth", "rep", false);
+  ASSERT_TRUE(replica.wait_for_epoch(authority.epoch(), 5s));
+  EXPECT_EQ(authority.stats().snapshots_served, 0u);
+  EXPECT_EQ(replica.stats().snapshots_installed, 0u);
+  EXPECT_GE(authority.stats().retransmits, 1u);
+  EXPECT_EQ(replica_store.credential_count(),
+            authority_store.credential_count());
+  expect_same_verdicts(authority_store, replica_store, keys);
+}
+
+TEST(AntiEntropy, ZeroSnapshotLagBroadcastsAndCatchesUpBySnapshot) {
+  // snapshot_lag 0 leaves the log empty after every publish: the
+  // broadcast must not depend on it, and any catch-up is a snapshot.
+  net::Network net;
+  keynote::CompiledStore authority_store;
+  keynote::CompiledStore replica_store;
+  Authority::Options aopts;
+  aopts.poll_interval = 2ms;
+  aopts.retransmit_interval = 10ms;
+  aopts.snapshot_lag = 0;
+  Authority authority(net, "auth", authority_store, aopts);
+  Replica::Options ropts;
+  ropts.poll_interval = 2ms;
+  ropts.heartbeat_interval = 10ms;
+  Replica replica(net, "rep", replica_store, ropts);
+  ASSERT_TRUE(authority.start().ok());
+  ASSERT_TRUE(replica.subscribe("auth").ok());
+
+  ASSERT_TRUE(
+      authority.publish_policy_text(trust_policy(ring().principal("KAdm")))
+          .ok());
+  ASSERT_TRUE(authority.publish_credential(delegation("KAdm", "KA")).ok());
+  ASSERT_TRUE(replica.wait_for_epoch(authority.epoch(), 2s));
+
+  net.set_partitioned("auth", "rep", true);
+  ASSERT_TRUE(authority.publish_credential(delegation("KAdm", "KB")).ok());
+  net.set_partitioned("auth", "rep", false);
+  ASSERT_TRUE(replica.wait_for_epoch(authority.epoch(), 5s));
+  EXPECT_GE(replica.stats().snapshots_installed, 1u);
+  EXPECT_EQ(replica_store.version(), authority_store.version());
+  expect_same_verdicts(authority_store, replica_store, {"KA", "KB", "KC"});
+}
+
 TEST(AntiEntropy, DirectStoreMutationHoleHealsViaSnapshot) {
   net::Network net;
   keynote::CompiledStore authority_store;
@@ -140,7 +227,7 @@ TEST(AntiEntropy, SnapshotInstallSupersedesBufferedDeltas) {
 
   // Epoch 3 arrives first (gap: 2 missing) and is buffered.
   DeltaBatch ooo;
-  ooo.deltas.push_back({3, DeltaKind::kRevokeByLicensee, "rsa-hex:00"});
+  ooo.deltas.push_back({3, DeltaKind::kRevokeByLicensee, "rsa-hex:00", {}});
   ASSERT_TRUE(driver->send("rep", kSubjectDelta, ooo.encode()).ok());
 
   // Snapshot at epoch 4 supersedes everything buffered.

@@ -9,9 +9,10 @@ namespace {
 
 TEST(SyncProtocol, DeltaBatchRoundTrips) {
   DeltaBatch batch;
-  batch.deltas.push_back({7, DeltaKind::kAddPolicy, "Authorizer: POLICY\n"});
-  batch.deltas.push_back({8, DeltaKind::kAddCredential, "cred text"});
-  batch.deltas.push_back({9, DeltaKind::kRevokeByLicensee, "rsa-hex:ab"});
+  batch.deltas.push_back(
+      {7, DeltaKind::kAddPolicy, "Authorizer: POLICY\n", {}});
+  batch.deltas.push_back({8, DeltaKind::kAddCredential, "cred text", {}});
+  batch.deltas.push_back({9, DeltaKind::kRevokeByLicensee, "rsa-hex:ab", {}});
   auto decoded = DeltaBatch::decode(batch.encode());
   ASSERT_TRUE(decoded.ok()) << decoded.error().message;
   ASSERT_EQ(decoded->deltas.size(), 3u);
@@ -33,7 +34,7 @@ TEST(SyncProtocol, UnknownDeltaKindRejected) {
   // 3 sits between assigned kinds but is not one of them.
   for (std::uint8_t kind : {std::uint8_t{3}, std::uint8_t{200}}) {
     DeltaBatch batch;
-    batch.deltas.push_back({1, static_cast<DeltaKind>(kind), "x"});
+    batch.deltas.push_back({1, static_cast<DeltaKind>(kind), "x", {}});
     auto decoded = DeltaBatch::decode(batch.encode());
     ASSERT_FALSE(decoded.ok()) << "kind " << int{kind};
     EXPECT_EQ(decoded.error().code, "wire");
@@ -42,7 +43,7 @@ TEST(SyncProtocol, UnknownDeltaKindRejected) {
 
 TEST(SyncProtocol, TrailingBytesRejected) {
   DeltaBatch batch;
-  batch.deltas.push_back({1, DeltaKind::kAddPolicy, "p"});
+  batch.deltas.push_back({1, DeltaKind::kAddPolicy, "p", {}});
   auto payload = batch.encode();
   payload.push_back(0);
   EXPECT_FALSE(DeltaBatch::decode(payload).ok());
@@ -55,7 +56,7 @@ TEST(SyncProtocol, TrailingBytesRejected) {
 
 TEST(SyncProtocol, TruncatedBatchRejected) {
   DeltaBatch batch;
-  batch.deltas.push_back({1, DeltaKind::kAddPolicy, "some body"});
+  batch.deltas.push_back({1, DeltaKind::kAddPolicy, "some body", {}});
   auto payload = batch.encode();
   payload.resize(payload.size() - 4);
   EXPECT_FALSE(DeltaBatch::decode(payload).ok());
@@ -88,10 +89,9 @@ TEST(SyncProtocol, DeltaTraceContextSurvivesTheWire) {
   // a retransmitted delta keeps the publish span that created it. Deltas
   // published with tracing off carry the zero context, also verbatim.
   DeltaBatch batch;
-  Delta traced{7, DeltaKind::kRevokeByLicensee, "KFred"};
-  traced.ctx = obs::TraceContext{0xfeedbeef, 0x1234};
-  batch.deltas.push_back(traced);
-  batch.deltas.push_back({8, DeltaKind::kAddPolicy, "p"});  // zero ctx
+  batch.deltas.push_back({7, DeltaKind::kRevokeByLicensee, "KFred",
+                          obs::TraceContext{0xfeedbeef, 0x1234}});
+  batch.deltas.push_back({8, DeltaKind::kAddPolicy, "p", {}});  // zero ctx
   auto decoded = DeltaBatch::decode(batch.encode());
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->deltas.size(), 2u);

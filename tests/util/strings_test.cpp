@@ -91,6 +91,17 @@ TEST(Numbers, RendersIntegersWithoutDecimalPoint) {
   EXPECT_EQ(number_to_string(2.5), "2.5");
 }
 
+TEST(JsonEscape, EscapesQuotesBackslashesAndEveryControlByte) {
+  EXPECT_EQ(json_escape("plain text"), "plain text");
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(json_escape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(json_escape(std::string_view("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  // Bytes from 0x20 up, UTF-8 sequences included, pass through.
+  EXPECT_EQ(json_escape(" ~\x7f\xc3\xa9"), " ~\x7f\xc3\xa9");
+}
+
 TEST(EditDistance, KnownValues) {
   EXPECT_EQ(edit_distance("", ""), 0u);
   EXPECT_EQ(edit_distance("abc", ""), 3u);

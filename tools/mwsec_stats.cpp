@@ -40,7 +40,6 @@
 #include "middleware/common/audit.hpp"
 #include "middleware/corba/orb.hpp"
 #include "obs/export.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -117,8 +116,8 @@ void run_demo(middleware::AuditLog& audit) {
 // WebCom trust root and a manager credential for Fred; a master and two
 // clients subscribe (three replicas: m.sync, c0.sync, c1.sync); the graph
 // runs a few times (cache warm-up), the credential is revoked, and the
-// next round is denied. Everything it does lands in the global registry,
-// tracer and flight recorder for the caller to dump.
+// next round is denied. Everything it does lands in the global registry
+// and tracer for the caller to dump.
 
 crypto::KeyRing& scenario_ring() {
   static crypto::KeyRing r(/*seed=*/2704, /*modulus_bits=*/256);
@@ -401,10 +400,6 @@ int run_trace_command(int argc, char** argv) {
   }
   print_trace_trees(obs::Tracer::global().records(),
                     has_flag(argc, argv, "--revocation"));
-  const auto flight = obs::FlightRecorder::global().stats();
-  std::fprintf(stderr, "flight recorder: %llu events on %zu threads\n",
-               static_cast<unsigned long long>(flight.events),
-               flight.threads);
   return 0;
 }
 
@@ -475,7 +470,6 @@ int main(int argc, char** argv) {
 
   obs::set_metrics_enabled(true);
   obs::Tracer::global().set_enabled(true);
-  obs::FlightRecorder::global().arm();
 
   if (cmd == "demo") return run_demo_command(argc, argv);
   if (cmd == "trace") return run_trace_command(argc, argv);
